@@ -20,7 +20,7 @@ import sys
 
 from . import theory
 from .distributions import distribution_from_name
-from .errors import DomainError, QstratError
+from .errors import DomainError, NonConvergenceError, QstratError
 from .experiments import (
     DEFAULT_SEED,
     EXPERIMENTS,
@@ -32,7 +32,7 @@ from .experiments import (
     rows_to_csv,
     run_experiment,
 )
-from .sampling import LayerSpec, sample_iid, sample_lqs, sample_qs
+from .sampling import LayerSpec, sample
 
 
 def _default_seed() -> int:
@@ -83,21 +83,18 @@ def _cmd_sample(args) -> int:
     if method == "lqs":
         if layers is None:
             raise DomainError("lqs sampling requires --layers")
-        spec = LayerSpec(layers)
-        if args.m is not None and args.m != spec.total:
+        size = LayerSpec(layers)
+        if args.m is not None and args.m != size.total:
             raise DomainError(
-                f"layer sizes {spec.sizes} sum to {spec.total}, not m={args.m}"
+                f"layer sizes {size.sizes} sum to {size.total}, not m={args.m}"
             )
-        batch = sample_lqs(dist, spec, seed=seed)
     else:
         if args.m is None:
             raise DomainError("--m is required for iid and qs sampling")
         if layers is not None:
             raise DomainError("--layers is only valid with --method lqs")
-        if method == "qs":
-            batch = sample_qs(dist, args.m, seed=seed)
-        else:
-            batch = sample_iid(dist, args.m, seed=seed)
+        size = args.m
+    batch = sample(dist, method, size, seed=seed)
 
     if args.format == "json":
         payload = {
@@ -295,6 +292,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
+    except NonConvergenceError as exc:
+        print(f"qstrat: runtime failure: {exc}", file=sys.stderr)
+        return 2
     except QstratError as exc:
         print(f"qstrat: error: {exc}", file=sys.stderr)
         return 1

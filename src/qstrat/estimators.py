@@ -9,6 +9,7 @@ its variance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -19,7 +20,7 @@ from scipy import special
 from .distributions import Beta, Distribution, Gamma
 from .errors import DomainError, EmptySampleError, ZeroProposalDensityError
 from . import sampling
-from .sampling import LayerSpec, spawn_seed
+from .sampling import LayerSpec, _as_layers, spawn_seed
 
 __all__ = [
     "ImportanceProblem",
@@ -119,19 +120,8 @@ def importance_estimate(
     ``method`` picks how the proposal sample is drawn: "iid", "qs", or "lqs"
     (the latter requires ``layers`` summing to m).
     """
-    method = _check_sample_method(method)
-    if method == "lqs":
-        if layers is None:
-            raise DomainError("lqs estimation requires layer sizes")
-        spec = layers if isinstance(layers, LayerSpec) else LayerSpec(tuple(layers))
-        if spec.total != m:
-            raise DomainError(f"layer sizes {spec.sizes} must sum to m={m}")
-        batch = sampling.sample_lqs(prob.proposal, spec, seed=seed)
-    elif method == "qs":
-        batch = sampling.sample_qs(prob.proposal, m, seed=seed)
-    else:
-        batch = sampling.sample_iid(prob.proposal, m, seed=seed)
-    return float(np.mean(importance_weight(batch.values, prob)))
+    method, size = _sample_size(method, m, layers)
+    return float(_estimates(prob, m, method, size, [seed], 1)[0])
 
 
 def estimate_replicates(
@@ -144,20 +134,21 @@ def estimate_replicates(
 ) -> EstimateSummary:
     """Run independent replicate estimates with per-replicate seed streams.
 
-    Replicate r uses the child seed derived from (seed, r), so results are
-    reproducible and do not depend on the order in which replicates run.
+    Replicate r draws its sample from the child seed derived from (seed, r),
+    so results are reproducible and do not depend on the order in which
+    replicates run.  Replicates are evaluated in chunks of stacked rows, one
+    quantile and one weight call per chunk; every quantile depends only on
+    its own probability, so each estimate is bit for bit the one
+    :func:`importance_estimate` gives for that child seed.  A chunk holds
+    at most 2^14 points (or one row, if m is larger), so memory stays
+    bounded however many replicates run while the per-call overhead is
+    still amortized.
     """
     if replicates < 1:
         raise DomainError(f"replicates must be >= 1, got {replicates}")
-    method = _check_sample_method(method)
-    spec = None
-    if layers is not None:
-        spec = layers if isinstance(layers, LayerSpec) else LayerSpec(tuple(layers))
-    estimates = np.empty(replicates, dtype=np.float64)
-    for r in range(replicates):
-        estimates[r] = importance_estimate(
-            prob, m, method, seed=spawn_seed(seed, r), layers=spec
-        )
+    method, size = _sample_size(method, m, layers)
+    seeds = (spawn_seed(seed, r) for r in range(replicates))
+    estimates = _estimates(prob, m, method, size, seeds, replicates)
     mean = float(np.mean(estimates))
     std_err = float(np.std(estimates, ddof=1)) if replicates > 1 else 0.0
     rmse = None
@@ -165,8 +156,48 @@ def estimate_replicates(
         rmse = float(np.sqrt(np.mean((estimates - prob.true_value) ** 2)))
     return EstimateSummary(
         estimates, mean, std_err, rmse, method, int(m), int(replicates), int(seed),
-        layers=spec,
+        layers=None if layers is None else _as_layers(layers),
     )
+
+
+# Points evaluated per quantile/weight call when replicates are stacked: large
+# enough that per-call overhead vanishes, small enough that the (rows, m)
+# working arrays stay a few hundred kB however many replicates run.
+_CHUNK_POINTS = 16384
+
+
+def _estimates(prob: ImportanceProblem, m: int, method: str, size, seeds, count: int):
+    """Importance estimates from ``count`` samples of size m, the r-th drawn
+    from ``default_rng`` of the r-th of ``seeds``, in chunks of stacked rows."""
+    rows = max(1, _CHUNK_POINTS // m)
+    seeds = iter(seeds)
+    out = np.empty(count, dtype=np.float64)
+    for start in range(0, count, rows):
+        u = np.concatenate([
+            sampling.uniforms(method, size, 1, np.random.default_rng(s))[0]
+            for s in itertools.islice(seeds, rows)
+        ])
+        weights = importance_weight(prob.proposal.quantile(u), prob)
+        out[start:start + len(u)] = np.mean(weights, axis=1)
+    return out
+
+
+def _sample_size(method: str, m: int, layers):
+    """Checked (method, size) for :func:`sampling.uniforms`: the size is m,
+    or for LQS the layer spec, which must sum to m."""
+    key = str(method).strip().lower()
+    if key not in _SAMPLE_METHODS:
+        raise DomainError(f"method must be one of {_SAMPLE_METHODS}, got {method!r}")
+    if m < 1:
+        raise DomainError(f"sample size must be >= 1, got {m}")
+    if key != "lqs":
+        return key, m
+    if layers is None:
+        raise DomainError("lqs estimation requires layer sizes")
+    spec = _as_layers(layers)
+    if spec.total != m:
+        raise DomainError(f"layer sizes {spec.sizes} must sum to m={m}")
+    return key, spec
 
 
 def taylor_variance_approx(g_prime_half: float, m: int, method: str) -> float:
@@ -187,13 +218,6 @@ def taylor_variance_approx(g_prime_half: float, m: int, method: str) -> float:
     if method == "iid":
         return g2 / (12.0 * m)
     return g2 / (12.0 * m ** 3)
-
-
-def _check_sample_method(method: str) -> str:
-    key = str(method).strip().lower()
-    if key not in _SAMPLE_METHODS:
-        raise DomainError(f"method must be one of {_SAMPLE_METHODS}, got {method!r}")
-    return key
 
 
 # ---------------------------------------------------------------------------

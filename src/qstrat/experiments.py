@@ -17,20 +17,12 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
 
 from . import theory
 from .distributions import Distribution, distribution_from_name
 from .errors import DomainError
 from .estimators import BENCHMARKS, estimate_replicates
-from .sampling import (
-    LayerSpec,
-    _as_layers,
-    iid_uniform_batches,
-    lqs_uniform_batches,
-    qs_uniform_batches,
-    spawn_seed,
-)
+from .sampling import _as_layers, spawn_seed, uniforms
 
 __all__ = [
     "ExperimentConfig",
@@ -141,13 +133,7 @@ def _uniform_batches(method: str, cfg: ExperimentConfig, reps: int):
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(_METHOD_STREAM[method],))
     )
-    if method == "iid":
-        u, _ = iid_uniform_batches(cfg.m, reps, rng)
-    elif method == "qs":
-        u, _ = qs_uniform_batches(cfg.m, reps, rng)
-    else:
-        u, _, _ = lqs_uniform_batches(LayerSpec(cfg.layers), reps, rng)
-    return u
+    return uniforms(method, cfg.layers if method == "lqs" else cfg.m, reps, rng)[0]
 
 
 def _z_row(method: str, statistic: str, theory_value: float, values: np.ndarray) -> dict:
@@ -308,6 +294,8 @@ def run_spacing_check(cfg: ExperimentConfig) -> ExperimentResult:
     lower index k cycling over its valid range, since the law does not depend
     on k), giving an IID sample for the KS test and moment z-scores.
     """
+    from scipy import stats  # imported here: it is slow and used only here
+
     cfg = cfg.validate()
     m = cfg.m
     lags = tuple(int(v) for v in cfg.ell)

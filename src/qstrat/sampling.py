@@ -30,12 +30,14 @@ __all__ = [
     "SampleBatch",
     "spawn_seed",
     "srswor_perm",
+    "sample",
     "sample_iid",
     "sample_qs",
     "sample_lqs",
     "iid_uniform_batches",
     "qs_uniform_batches",
     "lqs_uniform_batches",
+    "uniforms",
 ]
 
 
@@ -195,9 +197,44 @@ def lqs_uniform_batches(layers, reps: int, rng: np.random.Generator):
     return u, blocks, layer_idx
 
 
+def uniforms(method: str, size, reps: int, rng: np.random.Generator):
+    """Uniforms of shape (reps, m) drawn by ``method``, with their block indices.
+
+    ``size`` is the sample size m for "iid" and "qs", and the layer sizes
+    for "lqs".  Returns (uniforms, blocks, layer_index), where layer_index
+    is None except for LQS.  This is the one dispatch from a method name to
+    its batch generator; a single sample is the ``reps=1`` row.
+    """
+    if method == "lqs":
+        return lqs_uniform_batches(size, reps, rng)
+    if method == "qs":
+        u, blocks = qs_uniform_batches(size, reps, rng)
+    elif method == "iid":
+        u, blocks = iid_uniform_batches(size, reps, rng)
+    else:
+        raise DomainError(f"method must be one of ('iid', 'qs', 'lqs'), got {method!r}")
+    return u, blocks, None
+
+
 # ---------------------------------------------------------------------------
 # Batch samplers
 # ---------------------------------------------------------------------------
+
+def sample(dist: Distribution, method: str, size, seed: int | None = None) -> SampleBatch:
+    """Draw one sample from ``dist`` by ``method`` ("iid", "qs" or "lqs").
+
+    ``size`` is as in :func:`uniforms`: m, or the layer sizes for LQS.  The
+    batch is the ``reps=1`` row of the method's uniform generator pushed
+    through ``dist.quantile``.
+    """
+    seed = _fresh_seed() if seed is None else int(seed)
+    layers = _as_layers(size) if method == "lqs" else None
+    u, blocks, layer_idx = uniforms(method, layers or size, 1, np.random.default_rng(seed))
+    return SampleBatch(
+        method, u[0], dist.quantile(u[0]), blocks[0], seed, layers=layers,
+        layer_index=None if layer_idx is None else layer_idx[0],
+    )
+
 
 def sample_iid(dist: Distribution, m: int, seed: int | None = None) -> SampleBatch:
     """Draw m independent values from ``dist`` by inverse transform.
@@ -205,11 +242,7 @@ def sample_iid(dist: Distribution, m: int, seed: int | None = None) -> SampleBat
     Uniforms are drawn directly on (0, 1); block indices ceil(m*U) are
     recorded so block occupancies can be compared with stratified samples.
     """
-    seed = _fresh_seed() if seed is None else int(seed)
-    rng = np.random.default_rng(seed)
-    u, blocks = iid_uniform_batches(m, 1, rng)
-    u, blocks = u[0], blocks[0]
-    return SampleBatch("iid", u, dist.quantile(u), blocks, seed)
+    return sample(dist, "iid", m, seed)
 
 
 def sample_qs(dist: Distribution, m: int, seed: int | None = None) -> SampleBatch:
@@ -218,14 +251,7 @@ def sample_qs(dist: Distribution, m: int, seed: int | None = None) -> SampleBatc
     Exactly one value falls in each of the m equiprobable quantile blocks;
     each value still has marginal law ``dist``.
     """
-    seed = _fresh_seed() if seed is None else int(seed)
-    rng = np.random.default_rng(seed)
-    perm = srswor_perm(m, rng)
-    u = (perm - rng.random(m)) / m
-    np.copyto(u, np.nextafter(1.0, 0.0), where=(u >= 1.0))
-    blocks = perm.astype(np.int64)
-    assert np.array_equal(np.sort(blocks), np.arange(1, m + 1))
-    return SampleBatch("qs", u, dist.quantile(u), blocks, seed)
+    return sample(dist, "qs", m, seed)
 
 
 def sample_lqs(dist: Distribution, layers, seed: int | None = None) -> SampleBatch:
@@ -235,11 +261,4 @@ def sample_lqs(dist: Distribution, layers, seed: int | None = None) -> SampleBat
     applies a uniform random permutation of all positions.  A single layer
     reduces to QS sampling; all-unit layers reduce to IID sampling.
     """
-    spec = _as_layers(layers)
-    seed = _fresh_seed() if seed is None else int(seed)
-    rng = np.random.default_rng(seed)
-    u, blocks, layer_idx = lqs_uniform_batches(spec, 1, rng)
-    u, blocks, layer_idx = u[0], blocks[0], layer_idx[0]
-    return SampleBatch(
-        "lqs", u, dist.quantile(u), blocks, seed, layers=spec, layer_index=layer_idx
-    )
+    return sample(dist, "lqs", layers, seed)

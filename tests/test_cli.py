@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from qstrat.cli import main
+from qstrat.distributions import Gamma
+from qstrat.errors import NonConvergenceError
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +59,18 @@ class TestSampleCommand:
     def test_bad_distribution_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "sample", "--dist", "cauchy", "--m", "3")
         assert code == 1 and "cauchy" in err
+
+    def test_quantile_non_convergence_exits_two(self, capsys, monkeypatch):
+        # A failed numerical inversion is a runtime failure, not a usage error.
+        def fail(self, p):
+            raise NonConvergenceError("quantile inversion did not reach tolerance")
+
+        monkeypatch.setattr(Gamma, "_quantile_inner", fail)
+        code, out, err = run_cli(capsys, "sample", "--dist", "gamma", "--params", "2,1",
+                                 "--method", "qs", "--m", "20", "--seed", "3")
+        assert code == 2
+        assert out == ""
+        assert "did not reach tolerance" in err
 
 
 class TestTheoryCommand:

@@ -18,7 +18,16 @@ from qstrat.estimators import (
     mean_estimate,
     taylor_variance_approx,
 )
-from qstrat.sampling import qs_uniform_batches, sample_qs, spawn_seed
+from qstrat.sampling import (
+    qs_uniform_batches,
+    sample_iid,
+    sample_lqs,
+    sample_qs,
+    spawn_seed,
+)
+
+# Rows per chunk of the replicate engine at m = 100 is 16384 // 100 = 163.
+ENGINE_CASES = [("iid", None), ("qs", None), ("lqs", (50, 30, 20))]
 
 
 class TestMeanEstimate:
@@ -154,6 +163,52 @@ class TestReplicateStudies:
         prob = ImportanceProblem(Beta(2, 2), lambda x: x, Beta(2, 2))
         study = estimate_replicates(prob, 20, "iid", 10, seed=75)
         assert study.rmse is None and study.std_err > 0
+
+
+def loop_estimate(prob, m, method, seed, layers):
+    """Reference: one sample drawn by its sampler, then the mean of its weights."""
+    if method == "lqs":
+        batch = sample_lqs(prob.proposal, layers, seed=seed)
+    elif method == "qs":
+        batch = sample_qs(prob.proposal, m, seed=seed)
+    else:
+        batch = sample_iid(prob.proposal, m, seed=seed)
+    return float(np.mean(importance_weight(batch.values, prob)))
+
+
+class TestReplicateEngine:
+    @pytest.mark.parametrize("example", sorted(BENCHMARKS))
+    @pytest.mark.parametrize("method,layers", ENGINE_CASES)
+    def test_chunked_estimates_equal_one_replicate_at_a_time(self, example, method, layers):
+        # 200 replicates fill one chunk of 163 rows and part of a second.
+        prob = BENCHMARKS[example]()
+        study = estimate_replicates(prob, 100, method, 200, seed=91, layers=layers)
+        seeds = [spawn_seed(91, r) for r in range(200)]
+        single = [importance_estimate(prob, 100, method, seed=s, layers=layers)
+                  for s in seeds]
+        np.testing.assert_array_equal(study.estimates, single)
+        reference = [loop_estimate(prob, 100, method, s, layers) for s in seeds]
+        np.testing.assert_array_equal(study.estimates, reference)
+
+    @pytest.mark.parametrize("method,layers", [("iid", None), ("qs", None),
+                                               ("lqs", (9000, 5000, 2500))])
+    def test_samples_above_chunk_size_run_one_row_per_chunk(self, method, layers):
+        prob = beta_log_integral()
+        study = estimate_replicates(prob, 16500, method, 3, seed=92, layers=layers)
+        single = [importance_estimate(prob, 16500, method, seed=spawn_seed(92, r),
+                                      layers=layers) for r in range(3)]
+        np.testing.assert_array_equal(study.estimates, single)
+
+    def test_lqs_layer_sum_checked_before_any_replicate(self):
+        prob = beta_log_integral()
+        with pytest.raises(DomainError, match="sum to m=100"):
+            estimate_replicates(prob, 100, "lqs", 500, seed=93, layers=(50, 30, 21))
+        with pytest.raises(DomainError, match="requires layer sizes"):
+            estimate_replicates(prob, 100, "lqs", 500, seed=93)
+
+    def test_sample_size_validated(self):
+        with pytest.raises(DomainError):
+            estimate_replicates(beta_log_integral(), 0, "qs", 5, seed=94)
 
 
 class TestTaylorVariance:

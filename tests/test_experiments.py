@@ -2,6 +2,8 @@
 stratification-ordering property of sorted uniforms."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -234,3 +236,13 @@ class TestConfigAndArtifacts:
         assert render_artifact(run_experiment(c1), "csv") != render_artifact(
             run_experiment(c2), "csv"
         )
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of the package import time and only
+    # run_spacing_check needs it, so importing qstrat must not load it.
+    code = "import sys, qstrat; print('scipy.stats' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

@@ -19,6 +19,7 @@ from qstrat.sampling import (
     sample_qs,
     spawn_seed,
     srswor_perm,
+    uniforms,
 )
 
 KS_ALPHA = 0.01
@@ -269,6 +270,39 @@ class TestDeterminism:
                      for r in scrambled_order}
         for r in range(8):
             np.testing.assert_array_equal(natural[r], scrambled[r])
+
+
+class TestUniformsDispatch:
+    @pytest.mark.parametrize("m", [1, 2, 7, 100, 2000])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sample_qs_keeps_its_permutation_stream(self, m, seed):
+        # sample_qs once drew srswor_perm and then m uniforms; as the reps=1
+        # row of qs_uniform_batches it must draw the same values.
+        rng = np.random.default_rng(seed)
+        perm = srswor_perm(m, rng)
+        u = (perm - rng.random(m)) / m
+        np.copyto(u, np.nextafter(1.0, 0.0), where=(u >= 1.0))
+        batch = sample_qs(Normal(0, 1), m, seed=seed)
+        np.testing.assert_array_equal(batch.uniforms, u)
+        np.testing.assert_array_equal(batch.blocks, perm)
+
+    @pytest.mark.parametrize("method,size", [("iid", 12), ("qs", 12), ("lqs", (6, 4, 2))])
+    def test_single_samples_are_the_first_batch_row(self, method, size):
+        u, blocks, layer_idx = uniforms(method, size, 1, np.random.default_rng(8))
+        batch = {"iid": sample_iid, "qs": sample_qs, "lqs": sample_lqs}[method](
+            Gamma(2, 5), size, seed=8
+        )
+        np.testing.assert_array_equal(batch.uniforms, u[0])
+        np.testing.assert_array_equal(batch.blocks, blocks[0])
+        np.testing.assert_array_equal(batch.values, Gamma(2, 5).quantile(u[0]))
+        assert (layer_idx is None) == (method != "lqs")
+        if layer_idx is not None:
+            np.testing.assert_array_equal(batch.layer_index, layer_idx[0])
+            assert batch.layers == LayerSpec(size)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(DomainError):
+            uniforms("sobol", 5, 1, np.random.default_rng(0))
 
 
 class TestCustomQuantileSampling:
