@@ -25,7 +25,6 @@ from .distributions import (
 from .errors import (
     DomainError,
     EmptySampleError,
-    NonConvergenceError,
     PairUndefinedError,
     QstratError,
     ZeroProposalDensityError,
@@ -84,7 +83,6 @@ __all__ = [
     "distribution_from_name",
     "QstratError",
     "DomainError",
-    "NonConvergenceError",
     "PairUndefinedError",
     "EmptySampleError",
     "ZeroProposalDensityError",

@@ -20,7 +20,7 @@ import sys
 
 from . import theory
 from .distributions import distribution_from_name
-from .errors import DomainError, NonConvergenceError, QstratError
+from .errors import DomainError, QstratError
 from .experiments import (
     DEFAULT_SEED,
     EXPERIMENTS,
@@ -292,9 +292,6 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except NonConvergenceError as exc:
-        print(f"qstrat: runtime failure: {exc}", file=sys.stderr)
-        return 2
     except QstratError as exc:
         print(f"qstrat: error: {exc}", file=sys.stderr)
         return 1

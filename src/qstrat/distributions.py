@@ -17,7 +17,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError
 
 __all__ = [
     "Distribution",
@@ -37,12 +37,13 @@ __all__ = [
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# Numerical quantile inversion: absolute tolerance on the quantile, residual
-# tolerance on the CDF (the residual criterion keeps |F(Q(p)) - p| small even
-# where the density is steep), and an iteration cap.
-_INVERT_TOL = 1e-12
-_INVERT_F_TOL = 1e-13
-_INVERT_MAX_ITER = 200
+# Beta/gamma quantiles of 0 < p < 1 are clipped into the open support, so no
+# sample lands on an endpoint where the density may vanish.
+_TINY = np.nextafter(0.0, 1.0)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+# Lower-tail roots below this solve the leading series term (_tail_quantile)
+# instead of calling scipy, whose betaincinv returns NaN there for some shapes.
+_SERIES_ROOT = 1e-12
 
 
 def _as_float_array(x):
@@ -56,82 +57,49 @@ def _scalar_or_array(out, x_in):
     return out
 
 
-def _invert_monotone_cdf(cdf, pdf, p, lo, hi):
-    """Invert a continuous monotone CDF by bracketed bisection with Newton steps.
+def _tail_quantile(p, a, log_c, cut, inverse, rate=1.0):
+    """t / rate with F(t) = p, where F(t) = t^a / c * (1 + O(t)) near t = 0.
 
-    Parameters
-    ----------
-    cdf, pdf : callables
-        Vectorized CDF and its derivative.
-    p : ndarray
-        Probabilities strictly inside (0, 1).
-    lo, hi : float or ndarray
-        Bracket with cdf(lo) <= p <= cdf(hi).
-
-    Returns
-    -------
-    ndarray
-        x with |x - Q(p)| below the module tolerance.
-
-    Raises
-    ------
-    NonConvergenceError
-        If the bracket has not shrunk below tolerance after the iteration cap.
+    Roots below ``cut`` solve the leading term in log space, which keeps
+    their relative accuracy where scipy's inverses lose it (subnormal t);
+    above it the scipy ``inverse`` is floored at the cut, keeping Q monotone.
     """
-    p = _as_float_array(p)
-    lo = np.broadcast_to(_as_float_array(lo), p.shape).copy()
-    hi = np.broadcast_to(_as_float_array(hi), p.shape).copy()
-    x = 0.5 * (lo + hi)
-    err = np.full(p.shape, np.inf)
-    done = np.zeros(p.shape, dtype=bool)
-    for _ in range(_INVERT_MAX_ITER):
-        F = cdf(x)
-        err = np.where(done, err, np.abs(F - p))
-        # Elements are frozen once converged, so each quantile depends only
-        # on its own probability, never on what else shares the array.
-        active = ~done
-        too_low = F < p
-        lo = np.where(active & too_low, x, lo)
-        hi = np.where(active & ~too_low, x, hi)
-        width = hi - lo
-        saturated = width <= 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
-        done = done | (
-            (err <= _INVERT_F_TOL)
-            | ((width <= _INVERT_TOL) & (err <= 1e-10))
-            | saturated
-        )
-        if np.all(done):
-            return x
-        d = pdf(x)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            newton = x - (F - p) / d
-        inside = (d > 0) & np.isfinite(newton) & (newton > lo) & (newton < hi)
-        x = np.where(done, x, np.where(inside, newton, 0.5 * (lo + hi)))
-    if np.all(err <= 1e-9):
-        return x
-    raise NonConvergenceError(
-        f"quantile inversion did not reach tolerance {_INVERT_TOL} "
-        f"in {_INVERT_MAX_ITER} iterations"
-    )
+    p = np.atleast_1d(p)
+    with np.errstate(over="ignore"):
+        x = np.exp((np.log(p) + log_c) / a - math.log(rate))
+    far = x >= cut / rate
+    x[far] = np.maximum(inverse(p[far]), cut) / rate
+    return x
+
+
+def _join_tails(p, lower, upper, median):
+    """Q(p) from ``lower(p)`` for p <= 1/2 and ``upper(1 - p)`` above (1 - p
+    is exact there), clipped at Q(1/2) so Q stays monotone where they meet."""
+    out = np.empty_like(p)
+    low = p <= 0.5
+    out[low] = np.minimum(lower(p[low]), median)
+    out[~low] = np.maximum(upper(1.0 - p[~low]), median)
+    return out
 
 
 class Distribution:
     """Base class: a univariate law with pdf, cdf and quantile function.
 
-    Subclasses set ``name``, ``support`` and implement ``pdf``, ``logpdf``,
-    ``cdf`` and ``_quantile_inner`` (quantile for p strictly inside (0, 1)).
-    All evaluation methods are pure, vectorized over numpy arrays, and return
-    a float for scalar input.
+    Subclasses set ``name``, ``support`` and implement ``cdf``,
+    ``_quantile_inner`` (quantile for p strictly inside (0, 1)) and ``pdf``
+    or ``logpdf`` (each defaults to the other).  All evaluation methods are
+    pure, vectorized over numpy arrays, and return a float for scalar input.
     """
 
     name: str = "distribution"
     support: tuple[float, float] = (-np.inf, np.inf)
 
     def pdf(self, x):
-        raise NotImplementedError
+        return _scalar_or_array(np.exp(self.logpdf(_as_float_array(x))), x)
 
     def logpdf(self, x):
-        raise NotImplementedError
+        with np.errstate(divide="ignore"):
+            return _scalar_or_array(np.log(self.pdf(_as_float_array(x))), x)
 
     def cdf(self, x):
         raise NotImplementedError
@@ -209,9 +177,6 @@ class Normal(Distribution):
         self.mu = float(mu)
         self.sigma = float(sigma)
 
-    def pdf(self, x):
-        return _scalar_or_array(np.exp(self.logpdf(_as_float_array(x))), x)
-
     def logpdf(self, x):
         z = (_as_float_array(x) - self.mu) / self.sigma
         out = -0.5 * z * z - math.log(self.sigma) - _LOG_SQRT_2PI
@@ -231,8 +196,9 @@ class Normal(Distribution):
 class Beta(Distribution):
     """Beta law on (0, 1) with shape parameters ``a`` and ``b``.
 
-    The CDF is the regularized incomplete beta function; the quantile is
-    obtained by bracketed bisection/Newton inversion on [0, 1].
+    The CDF is the regularized incomplete beta function; the quantile
+    inverts it with scipy's ``betaincinv`` in each tail, accurate relative
+    to min(p, 1 - p), and lies strictly inside (0, 1).
     """
 
     name = "beta"
@@ -244,6 +210,7 @@ class Beta(Distribution):
         self.a = float(a)
         self.b = float(b)
         self._log_norm = special.betaln(self.a, self.b)
+        self._median = self._lower(self.a, self.b, 0.5)[0]
 
     def logpdf(self, x):
         x_arr = _as_float_array(x)
@@ -264,38 +231,22 @@ class Beta(Distribution):
             out = np.where(x_arr == 1.0, -self._log_norm, out)
         return _scalar_or_array(out, x)
 
-    def pdf(self, x):
-        return _scalar_or_array(np.exp(self.logpdf(_as_float_array(x))), x)
-
     def cdf(self, x):
         x_arr = np.clip(_as_float_array(x), 0.0, 1.0)
         return _scalar_or_array(special.betainc(self.a, self.b, x_arr), x)
 
+    def _lower(self, a, b, p):
+        # I_x(a, b) = x^a / (a B(a, b)) * (1 + a(1-b)/(a+1) x + ...): the cut
+        # shrinks with b so the second term stays below 1e-12 relative.
+        return _tail_quantile(p, a, math.log(a) + self._log_norm, _SERIES_ROOT / max(1.0, b),
+                              lambda q: special.betaincinv(a, b, q))
+
     def _quantile_inner(self, p):
-        # Invert in the lower tail of whichever orientation keeps the root
-        # near 0, where floats have far more resolution than near 1.
-        def density(a, b):
-            def f(t):
-                ts = np.clip(t, np.finfo(float).tiny, 1.0 - 1e-17)
-                return np.exp(
-                    (a - 1.0) * np.log(ts) + (b - 1.0) * np.log1p(-ts) - self._log_norm
-                )
-
-            return f
-
-        out = np.empty_like(p)
-        low = p <= 0.5
-        if np.any(low):
-            cdf = lambda t: special.betainc(self.a, self.b, t)  # noqa: E731
-            out[low] = _invert_monotone_cdf(
-                cdf, density(self.a, self.b), p[low], 0.0, 1.0
-            )
-        if np.any(~low):
-            cdf = lambda t: special.betainc(self.b, self.a, t)  # noqa: E731
-            out[~low] = 1.0 - _invert_monotone_cdf(
-                cdf, density(self.b, self.a), 1.0 - p[~low], 0.0, 1.0
-            )
-        return out
+        # Each tail is inverted in the orientation that puts its root near 0,
+        # where floats have far more resolution than near 1.
+        out = _join_tails(p, lambda q: self._lower(self.a, self.b, q),
+                          lambda q: 1.0 - self._lower(self.b, self.a, q), self._median)
+        return np.clip(out, _TINY, _BELOW_ONE)
 
     def params(self):
         return {"a": self.a, "b": self.b}
@@ -303,7 +254,12 @@ class Beta(Distribution):
 
 class Gamma(Distribution):
     """Gamma law with ``shape`` and ``rate``: density proportional to
-    x^(shape-1) * exp(-rate * x) on (0, inf)."""
+    x^(shape-1) * exp(-rate * x) on (0, inf).
+
+    The quantile inverts the regularized incomplete gamma function with
+    scipy's ``gammaincinv``/``gammainccinv``, accurate relative to
+    min(p, 1 - p), and is positive for p > 0.
+    """
 
     name = "gamma"
 
@@ -314,6 +270,7 @@ class Gamma(Distribution):
         self.rate = float(rate)
         self.support = (0.0, np.inf)
         self._log_norm = self.shape * math.log(self.rate) - special.gammaln(self.shape)
+        self._median = self._lower(0.5)[0]
 
     def logpdf(self, x):
         x_arr = _as_float_array(x)
@@ -329,29 +286,19 @@ class Gamma(Distribution):
             out = np.where(x_arr == 0.0, self._log_norm, out)
         return _scalar_or_array(out, x)
 
-    def pdf(self, x):
-        return _scalar_or_array(np.exp(self.logpdf(_as_float_array(x))), x)
-
     def cdf(self, x):
         x_arr = np.maximum(_as_float_array(x), 0.0)
         return _scalar_or_array(special.gammainc(self.shape, self.rate * x_arr), x)
 
+    def _lower(self, p):
+        # P(a, t) = t^a / Gamma(a + 1) * (1 - a t / (a + 1) + ...), t = rate * x.
+        return _tail_quantile(p, self.shape, special.gammaln(self.shape + 1.0), _SERIES_ROOT,
+                              lambda q: special.gammaincinv(self.shape, q), self.rate)
+
     def _quantile_inner(self, p):
-        # Invert the standard (rate 1) law, then rescale by the rate.
-        cdf = lambda t: special.gammainc(self.shape, t)  # noqa: E731
-        pdf = lambda t: np.exp(  # noqa: E731
-            (self.shape - 1.0) * np.log(np.maximum(t, np.finfo(float).tiny))
-            - t
-            - special.gammaln(self.shape)
-        )
-        hi = np.full(np.shape(p), self.shape + 10.0 * math.sqrt(self.shape) + 10.0)
-        pmax = np.max(p)
-        for _ in range(200):
-            if special.gammainc(self.shape, np.max(hi)) >= pmax:
-                break
-            hi = hi * 2.0
-        t = _invert_monotone_cdf(cdf, pdf, p, 0.0, hi)
-        return t / self.rate
+        upper = lambda q: special.gammainccinv(self.shape, q) / self.rate  # noqa: E731
+        # Clip underflow last: 5e-324 divided by a rate above 2 rounds to 0.
+        return np.maximum(_join_tails(p, self._lower, upper, self._median), _TINY)
 
     def params(self):
         return {"shape": self.shape, "rate": self.rate}
@@ -393,11 +340,6 @@ class Discrete(Distribution):
         out = np.where(hit, self.probs[idx_c], 0.0)
         return _scalar_or_array(out, x)
 
-    def logpdf(self, x):
-        with np.errstate(divide="ignore"):
-            out = np.log(self.pdf(_as_float_array(x)))
-        return _scalar_or_array(out, x)
-
     def cdf(self, x):
         x_arr = _as_float_array(x)
         idx = np.searchsorted(self.points, x_arr, side="right")
@@ -436,11 +378,9 @@ class Custom(Distribution):
         return _scalar_or_array(_as_float_array(self._pdf(_as_float_array(x))), x)
 
     def logpdf(self, x):
-        if self._logpdf is not None:
-            return _scalar_or_array(_as_float_array(self._logpdf(_as_float_array(x))), x)
-        with np.errstate(divide="ignore"):
-            out = np.log(self.pdf(_as_float_array(x)))
-        return _scalar_or_array(out, x)
+        if self._logpdf is None:
+            return super().logpdf(x)
+        return _scalar_or_array(_as_float_array(self._logpdf(_as_float_array(x))), x)
 
     def cdf(self, x):
         if self._cdf is None:

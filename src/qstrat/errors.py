@@ -9,10 +9,6 @@ class DomainError(QstratError, ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-class NonConvergenceError(QstratError, RuntimeError):
-    """Numerical inversion failed to reach the requested tolerance."""
-
-
 class PairUndefinedError(QstratError, ValueError):
     """Pairwise moments requested for a sample of size one."""
 

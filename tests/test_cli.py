@@ -9,7 +9,6 @@ import pytest
 
 from qstrat.cli import main
 from qstrat.distributions import Gamma
-from qstrat.errors import NonConvergenceError
 
 
 def run_cli(capsys, *argv):
@@ -61,9 +60,10 @@ class TestSampleCommand:
         assert code == 1 and "cauchy" in err
 
     def test_quantile_non_convergence_exits_two(self, capsys, monkeypatch):
-        # A failed numerical inversion is a runtime failure, not a usage error.
+        # A numerical failure inside a quantile is a runtime failure, not a
+        # usage error: it reaches the CLI's catch-all branch and exits 2.
         def fail(self, p):
-            raise NonConvergenceError("quantile inversion did not reach tolerance")
+            raise RuntimeError("quantile inversion did not reach tolerance")
 
         monkeypatch.setattr(Gamma, "_quantile_inner", fail)
         code, out, err = run_cli(capsys, "sample", "--dist", "gamma", "--params", "2,1",

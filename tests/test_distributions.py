@@ -1,8 +1,13 @@
 """Distribution layer: pdf/cdf/quantile contracts, quantile blocks and
 conditional block laws."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -20,11 +25,41 @@ from qstrat.distributions import (
     distribution_from_name,
 )
 from qstrat.errors import DomainError
+from qstrat.sampling import sample_qs
 
 
 def quad_quantile(pdf, p, lo, hi):
     """Independent quantile oracle: root of the quadrature CDF."""
     return brentq(lambda t: quad(pdf, lo, t)[0] - p, lo + 1e-12, hi, xtol=1e-13)
+
+
+# Relative accuracy a quantile must reach in the tail that holds p: far
+# tighter than the inverter's old absolute tolerance, far looser than eps.
+REL_TOL = 1e-9
+
+
+def tail_probability(dist, x, upper):
+    """F(x), or the survival S(x) where ``upper``, from scipy's special
+    functions; S uses the complement functions, never 1 - F."""
+    if isinstance(dist, Gamma):
+        t = dist.rate * x
+        return np.where(upper, special.gammaincc(dist.shape, t),
+                        special.gammainc(dist.shape, t))
+    return np.where(upper, special.betaincc(dist.a, dist.b, x),
+                    special.betainc(dist.a, dist.b, x))
+
+
+def tail_round_trip_ok(dist, p, x=None, prob=tail_probability):
+    """Whether x = Q(p) has F(x) = p (S(x) = 1 - p for p > 1/2) to REL_TOL
+    relative, plus the probability of one ulp of x, which no double can beat."""
+    p = np.asarray(p, dtype=float)
+    x = dist.quantile(p) if x is None else np.asarray(x, dtype=float)
+    upper = p > 0.5
+    tail = np.where(upper, 1.0 - p, p)
+    at = prob(dist, x, upper)
+    slack = np.maximum(np.abs(prob(dist, np.nextafter(x, np.inf), upper) - at),
+                       np.abs(at - prob(dist, np.nextafter(x, -np.inf), upper)))
+    return np.all(np.isfinite(x)) and bool(np.all(np.abs(at - tail) <= REL_TOL * tail + slack))
 
 
 CONTINUOUS = [
@@ -89,6 +124,105 @@ class TestQuantile:
             Normal(0, 1).quantile(0.0)
         with pytest.raises(DomainError):
             Normal(0, 1).quantile(1.0)
+
+
+class TestTailQuantiles:
+    """Relative accuracy in both tails, p from 2^-53 (or below) to 1 - 2^-53."""
+
+    def test_qs_sample_of_gamma_shape_0_05(self):
+        dist = Gamma(0.05, 1.0)
+        batch = sample_qs(dist, 2000, seed=3)
+        assert np.all(batch.values > 0)
+        assert tail_round_trip_ok(dist, batch.uniforms, batch.values)
+
+    @pytest.mark.parametrize("dist", [Gamma(0.1, 1.0), Beta(0.05, 2.0)])
+    def test_lower_tail_1e_10(self, dist):
+        assert tail_round_trip_ok(dist, 1e-10)
+
+    def test_arcsine_law_deep_lower_tail(self):
+        # Beta(1/2, 1/2) has Q(p) = sin(pi p / 2)^2 in closed form.
+        q = Beta(0.5, 0.5).quantile(1e-100)
+        assert q == pytest.approx(math.sin(math.pi * 1e-100 / 2) ** 2, rel=1e-12, abs=0.0)
+        assert q == pytest.approx(2.4674e-200, rel=1e-4, abs=0.0)
+
+    def test_gamma_upper_tail_1e_12(self):
+        dist = Gamma(0.1, 1.0)
+        assert dist.quantile(1 - 1e-12) == pytest.approx(22.537, abs=5e-4)
+        assert tail_round_trip_ok(dist, 1 - 1e-12)
+
+    def test_beta_lower_tail_where_betaincinv_gives_nan(self):
+        dist = Beta(5.0, 0.4)
+        assert math.isfinite(dist.quantile(1e-200))
+        assert tail_round_trip_ok(dist, np.logspace(-300, -60, 50))
+
+    def test_beta_lower_tail_root_is_subnormal(self):
+        dist = Beta(0.05, 2.0)
+        q = dist.quantile(2.0 ** -53)
+        assert 0.0 < q < np.finfo(float).tiny
+        assert tail_round_trip_ok(dist, 2.0 ** -53)
+
+    def test_small_rate_keeps_relative_accuracy(self):
+        # The standard-law root is subnormal here while Q(p) = root / rate is
+        # not, so F is taken from its leading series term in log space, which
+        # is exact to 1e-12 relative below rate * x = 1e-12.
+        def series_lower(dist, x, upper):
+            with np.errstate(divide="ignore"):
+                log_t = math.log(dist.rate) + np.log(x)
+            return np.exp(dist.shape * log_t - special.gammaln(dist.shape + 1.0))
+
+        dist = Gamma(0.01, 1e-3)
+        p = np.linspace(2.0 ** -53, 6e-4, 200)
+        x = dist.quantile(p)
+        assert np.all(dist.rate * x < 1e-12)
+        assert tail_round_trip_ok(dist, p, x, prob=series_lower)
+
+    def test_gamma_monotone_across_the_median(self):
+        dist = Gamma(0.01, 3.0)
+        below, half, above = dist.quantile(np.nextafter(0.5, [0.0, 0.5, 1.0]))
+        assert below <= half <= above
+
+    def test_positive_where_the_root_underflows(self):
+        # Q(p) of Gamma(0.01, 3) is below 5e-324 for every p under ~6e-4.
+        q = Gamma(0.01, 3.0).quantile(np.logspace(-300, -3, 3000))
+        assert np.all(q > 0.0)
+
+    @pytest.mark.parametrize("dist", [Gamma(0.01, 3.0), Gamma(2.0, 5.0), Beta(0.05, 2.0),
+                                      Beta(0.5, 0.5), Beta(2.0, 0.05)])
+    def test_extreme_probabilities_land_where_density_is_positive(self, dist):
+        q = dist.quantile(np.array([2.0 ** -53, 1.0 - 2.0 ** -53]))
+        assert np.all(np.isfinite(dist.logpdf(q)))
+        assert tail_round_trip_ok(dist, [2.0 ** -53, 1.0 - 2.0 ** -53], q)
+
+
+SHAPES = st.floats(0.05, 50.0)
+LAWS = st.one_of(st.builds(Beta, SHAPES, SHAPES), st.builds(Gamma, SHAPES, st.floats(1.0, 50.0)))
+# Probabilities over [2^-53, 1 - 2^-53], with both tails reached on a log scale.
+PROBS = st.one_of(
+    st.floats(2.0 ** -53, 1.0 - 2.0 ** -53),
+    st.floats(1.0, 53.0).map(lambda k: 2.0 ** -k),
+    st.floats(1.0, 53.0).map(lambda k: 1.0 - 2.0 ** -k),
+)
+
+
+class TestQuantileProperties:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(LAWS, PROBS, PROBS)
+    def test_non_decreasing(self, dist, p1, p2):
+        p1, p2 = sorted((p1, p2))
+        q1, q2 = dist.quantile(p1), dist.quantile(p2)
+        # Exact across the median, where two inverses meet.
+        if p1 <= 0.5 < p2:
+            assert q1 <= dist.quantile(0.5) <= q2
+        # scipy's inverses wobble by a few ulp between neighbouring p (a
+        # reversal spans under 1e-13 of the tail probability), so elsewhere
+        # the order is asserted for p apart by more than that.
+        if p2 - p1 > 1e-11 * min(p1, 1.0 - p2):
+            assert q1 <= q2
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(LAWS, PROBS)
+    def test_relative_round_trip(self, dist, p):
+        assert tail_round_trip_ok(dist, p)
 
 
 class TestCdfPdf:

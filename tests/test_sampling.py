@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qstrat.distributions import Beta, Discrete, Gamma, Normal, Uniform01
@@ -24,6 +26,15 @@ from qstrat.sampling import (
 
 KS_ALPHA = 0.01
 DISCRETE = Discrete([0.0, 1.0, 2.5], [0.2, 0.5, 0.3])
+
+SHAPES = st.floats(0.05, 50.0)
+LAWS = st.one_of(st.builds(Beta, SHAPES, SHAPES), st.builds(Gamma, SHAPES, st.floats(1.0, 50.0)))
+SEEDS = st.integers(0, 2 ** 63 - 1)
+LAYERS = st.one_of(
+    st.integers(1, 5000).map(lambda m: (m,)),               # one layer: plain QS
+    st.integers(1, 300).map(lambda k: (1,) * k),            # all-unit layers: IID
+    st.lists(st.integers(1, 500), min_size=1, max_size=12).map(tuple),
+)
 
 
 def pair_correlation(u: np.ndarray) -> tuple[float, float]:
@@ -184,6 +195,37 @@ class TestLqsSampling:
         with pytest.raises(DomainError):
             LayerSpec((3, 0))
         assert LayerSpec((18, 9, 3)).total == 30
+
+
+def assert_block_coverage(u, blocks, m):
+    """One uniform in each of the m blocks ((s-1)/m, s/m], s = 1..m."""
+    assert np.array_equal(np.sort(blocks), np.arange(1, m + 1))
+    assert np.all((blocks - 1 <= m * u) & (m * u <= blocks))
+
+
+def assert_values_inside_support(dist, batch):
+    np.testing.assert_array_equal(batch.values, dist.quantile(batch.uniforms))
+    lo, hi = dist.support
+    assert np.all((batch.values > lo) & (batch.values < hi))
+
+
+class TestCoverageProperties:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(LAWS, st.integers(1, 5000), SEEDS)
+    def test_qs_covers_every_block(self, dist, m, seed):
+        batch = sample_qs(dist, m, seed=seed)
+        assert_block_coverage(batch.uniforms, batch.blocks, m)
+        assert_values_inside_support(dist, batch)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(LAWS, LAYERS, SEEDS)
+    def test_lqs_covers_every_block_of_every_layer(self, dist, layers, seed):
+        batch = sample_lqs(dist, layers, seed=seed)
+        assert batch.m == sum(layers)
+        for k, mk in enumerate(layers, start=1):
+            in_layer = batch.layer_index == k
+            assert_block_coverage(batch.uniforms[in_layer], batch.blocks[in_layer], mk)
+        assert_values_inside_support(dist, batch)
 
 
 class TestMarginalLaw:
