@@ -14,6 +14,7 @@ The environment variable QSTRAT_SEED overrides the built-in default seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from .experiments import (
     rows_to_csv,
     run_experiment,
 )
-from .sampling import LayerSpec, sample
+from .sampling import METHODS, sample, sample_size
 
 
 def _default_seed() -> int:
@@ -77,24 +78,10 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _cmd_sample(args) -> int:
     dist = distribution_from_name(args.dist, _parse_floats(args.params))
-    layers = _parse_ints(args.layers)
     seed = args.seed if args.seed is not None else _default_seed()
-    method = args.method
-    if method == "lqs":
-        if layers is None:
-            raise DomainError("lqs sampling requires --layers")
-        size = LayerSpec(layers)
-        if args.m is not None and args.m != size.total:
-            raise DomainError(
-                f"layer sizes {size.sizes} sum to {size.total}, not m={args.m}"
-            )
-    else:
-        if args.m is None:
-            raise DomainError("--m is required for iid and qs sampling")
-        if layers is not None:
-            raise DomainError("--layers is only valid with --method lqs")
-        size = args.m
-    batch = sample(dist, method, size, seed=seed)
+    if args.method != "lqs" and args.m is None:
+        raise DomainError("--m is required for iid and qs sampling")
+    batch = sample(dist, args.method, args.m, seed=seed, layers=_parse_ints(args.layers))
 
     if args.format == "json":
         payload = {
@@ -132,33 +119,15 @@ def _cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_theory(args) -> int:
-    m = args.m
-    if m < 1:
-        raise DomainError(f"--m must be >= 1, got {m}")
+    _, m = sample_size("qs", args.m)
     layers = _parse_ints(args.layers)
     out: dict = {"m": m}
     if m >= 2:
-        mom = theory.qs_uniform_moments(m)
-        out["qs_moments"] = {
-            "mean": mom.mean,
-            "variance": mom.variance,
-            "pair_covariance": mom.pair_covariance,
-            "pair_correlation": mom.pair_correlation,
-        }
+        out["qs_moments"] = dataclasses.asdict(theory.qs_uniform_moments(m))
     if layers is not None:
-        spec = LayerSpec(layers)
-        if spec.total != m:
-            raise DomainError(
-                f"layer sizes {spec.sizes} sum to {spec.total}, not m={m}"
-            )
-        mom = theory.lqs_uniform_moments(spec)
+        _, spec = sample_size("lqs", m, layers)
         out["layers"] = list(spec.sizes)
-        out["lqs_moments"] = {
-            "mean": mom.mean,
-            "variance": mom.variance,
-            "pair_covariance": mom.pair_covariance,
-            "pair_correlation": mom.pair_correlation,
-        }
+        out["lqs_moments"] = dataclasses.asdict(theory.lqs_uniform_moments(spec))
         out["adjustment_factor"] = theory.adj_factor(spec)
     if args.k is not None:
         k = args.k
@@ -244,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="uniform | normal | beta | gamma | discrete")
     p_sample.add_argument("--params", default="",
                           help="comma-separated distribution parameters")
-    p_sample.add_argument("--method", default="qs", choices=("iid", "qs", "lqs"))
+    p_sample.add_argument("--method", default="qs", choices=METHODS)
     p_sample.add_argument("--m", type=int, default=None, help="sample size")
     p_sample.add_argument("--layers", default=None,
                           help="comma-separated LQS layer sizes")

@@ -20,7 +20,7 @@ from scipy import special
 from .distributions import Beta, Distribution, Gamma
 from .errors import DomainError, EmptySampleError, ZeroProposalDensityError
 from . import sampling
-from .sampling import LayerSpec, _as_layers, spawn_seed
+from .sampling import LayerSpec, sample_size, spawn_seed
 
 __all__ = [
     "ImportanceProblem",
@@ -34,9 +34,6 @@ __all__ = [
     "gamma_gaussian_integral",
     "BENCHMARKS",
 ]
-
-_SAMPLE_METHODS = ("iid", "qs", "lqs")
-
 
 @dataclass(frozen=True)
 class ImportanceProblem:
@@ -118,10 +115,11 @@ def importance_estimate(
     """One importance-sampling estimate of mu from a size-m proposal sample.
 
     ``method`` picks how the proposal sample is drawn: "iid", "qs", or "lqs"
-    (the latter requires ``layers`` summing to m).
+    (the latter requires ``layers`` summing to m); see
+    :func:`sampling.sample_size`.
     """
-    method, size = _sample_size(method, m, layers)
-    return float(_estimates(prob, m, method, size, [seed], 1)[0])
+    method, size = sample_size(method, m, layers)
+    return float(_estimates(prob, method, size, [seed], 1)[0])
 
 
 def estimate_replicates(
@@ -146,17 +144,18 @@ def estimate_replicates(
     """
     if replicates < 1:
         raise DomainError(f"replicates must be >= 1, got {replicates}")
-    method, size = _sample_size(method, m, layers)
+    method, size = sample_size(method, m, layers)
     seeds = (spawn_seed(seed, r) for r in range(replicates))
-    estimates = _estimates(prob, m, method, size, seeds, replicates)
+    estimates = _estimates(prob, method, size, seeds, replicates)
     mean = float(np.mean(estimates))
     std_err = float(np.std(estimates, ddof=1)) if replicates > 1 else 0.0
     rmse = None
     if prob.true_value is not None:
         rmse = float(np.sqrt(np.mean((estimates - prob.true_value) ** 2)))
     return EstimateSummary(
-        estimates, mean, std_err, rmse, method, int(m), int(replicates), int(seed),
-        layers=None if layers is None else _as_layers(layers),
+        estimates, mean, std_err, rmse, method, _size_m(method, size), int(replicates),
+        int(seed),
+        layers=size if method == "lqs" else None,
     )
 
 
@@ -166,10 +165,15 @@ def estimate_replicates(
 _CHUNK_POINTS = 16384
 
 
-def _estimates(prob: ImportanceProblem, m: int, method: str, size, seeds, count: int):
-    """Importance estimates from ``count`` samples of size m, the r-th drawn
+def _size_m(method: str, size) -> int:
+    """The sample size m of a checked (method, size) pair."""
+    return size.total if method == "lqs" else size
+
+
+def _estimates(prob: ImportanceProblem, method: str, size, seeds, count: int):
+    """Importance estimates from ``count`` samples of ``size``, the r-th drawn
     from ``default_rng`` of the r-th of ``seeds``, in chunks of stacked rows."""
-    rows = max(1, _CHUNK_POINTS // m)
+    rows = max(1, _CHUNK_POINTS // _size_m(method, size))
     seeds = iter(seeds)
     out = np.empty(count, dtype=np.float64)
     for start in range(0, count, rows):
@@ -180,24 +184,6 @@ def _estimates(prob: ImportanceProblem, m: int, method: str, size, seeds, count:
         weights = importance_weight(prob.proposal.quantile(u), prob)
         out[start:start + len(u)] = np.mean(weights, axis=1)
     return out
-
-
-def _sample_size(method: str, m: int, layers):
-    """Checked (method, size) for :func:`sampling.uniforms`: the size is m,
-    or for LQS the layer spec, which must sum to m."""
-    key = str(method).strip().lower()
-    if key not in _SAMPLE_METHODS:
-        raise DomainError(f"method must be one of {_SAMPLE_METHODS}, got {method!r}")
-    if m < 1:
-        raise DomainError(f"sample size must be >= 1, got {m}")
-    if key != "lqs":
-        return key, m
-    if layers is None:
-        raise DomainError("lqs estimation requires layer sizes")
-    spec = _as_layers(layers)
-    if spec.total != m:
-        raise DomainError(f"layer sizes {spec.sizes} must sum to m={m}")
-    return key, spec
 
 
 def taylor_variance_approx(g_prime_half: float, m: int, method: str) -> float:

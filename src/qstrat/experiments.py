@@ -22,7 +22,7 @@ from . import theory
 from .distributions import Distribution, distribution_from_name
 from .errors import DomainError
 from .estimators import BENCHMARKS, estimate_replicates
-from .sampling import _as_layers, spawn_seed, uniforms
+from .sampling import sample_size, spawn_seed, uniforms
 
 __all__ = [
     "ExperimentConfig",
@@ -91,18 +91,13 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"expected one of {sorted(EXPERIMENTS)}"
             )
-        if self.m < 1:
-            raise DomainError(f"m must be >= 1, got {self.m}")
+        sample_size("qs", self.m)
+        if self.layers is not None:
+            sample_size("lqs", self.m, self.layers)
         if self.resolved_replicates() < 1:
             raise DomainError("replicates must be >= 1")
         if self.format not in ("csv", "json"):
             raise DomainError(f"format must be csv or json, got {self.format!r}")
-        if self.layers is not None:
-            spec = _as_layers(self.layers)
-            if spec.total != self.m:
-                raise DomainError(
-                    f"layer sizes {spec.sizes} sum to {spec.total}, not m={self.m}"
-                )
         if self.experiment == "importance_study" and self.example not in BENCHMARKS:
             raise DomainError(
                 f"example must be one of {sorted(BENCHMARKS)}, got {self.example!r}"
@@ -163,16 +158,11 @@ def run_moment_check(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.m < 2:
         raise DomainError("moment check needs m >= 2 for pairwise statistics")
     reps = cfg.resolved_replicates()
+    # IID is LQS with all-unit layers and QS is LQS with one layer.
+    layers = {"iid": (1,) * cfg.m, "qs": (cfg.m,), "lqs": cfg.layers}
     rows = []
     for method in _method_list(cfg):
-        if method == "iid":
-            cov_theory = corr_theory = 0.0
-        elif method == "qs":
-            mom = theory.qs_uniform_moments(cfg.m)
-            cov_theory, corr_theory = mom.pair_covariance, mom.pair_correlation
-        else:
-            mom = theory.lqs_uniform_moments(cfg.layers)
-            cov_theory, corr_theory = mom.pair_covariance, mom.pair_correlation
+        mom = theory.lqs_uniform_moments(layers[method])
         u = _uniform_batches(method, cfg, reps)
         centered = u - 0.5
         row_mean = u.mean(axis=1)
@@ -183,13 +173,13 @@ def run_moment_check(cfg: ExperimentConfig) -> ExperimentResult:
         pair = (s ** 2 - (centered ** 2).sum(axis=1)) / (cfg.m * (cfg.m - 1))
         rows.append(_z_row(method, "mean", 0.5, row_mean))
         rows.append(_z_row(method, "variance", 1.0 / 12.0, row_sq))
-        cov_row = _z_row(method, "pair_covariance", cov_theory, pair)
+        cov_row = _z_row(method, "pair_covariance", mom.pair_covariance, pair)
         rows.append(cov_row)
         rows.append(
             {
                 "method": method,
                 "statistic": "pair_correlation",
-                "theory": corr_theory,
+                "theory": mom.pair_correlation,
                 "empirical": 12.0 * cov_row["empirical"],
                 "std_error": 12.0 * cov_row["std_error"],
                 "z": cov_row["z"],

@@ -18,6 +18,8 @@ order.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,11 +28,13 @@ from .distributions import Distribution
 from .errors import DomainError
 
 __all__ = [
+    "METHODS",
     "LayerSpec",
     "SampleBatch",
     "spawn_seed",
     "srswor_perm",
     "sample",
+    "sample_size",
     "sample_iid",
     "sample_qs",
     "sample_lqs",
@@ -39,6 +43,8 @@ __all__ = [
     "lqs_uniform_batches",
     "uniforms",
 ]
+
+METHODS = ("iid", "qs", "lqs")
 
 
 # ---------------------------------------------------------------------------
@@ -73,21 +79,31 @@ def _open_uniform(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Layer specification
+# Sample sizes and layer specification
 # ---------------------------------------------------------------------------
+
+def _positive_int(value, what: str) -> int:
+    """``value`` as an int, if it is an integer (numpy integers too) >= 1."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if n < 1:
+        raise DomainError(f"{what} must be >= 1, got {n}")
+    return n
+
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Layer sizes (m_1, ..., m_K) of an LQS sample; all sizes must be >= 1."""
+    """Layer sizes (m_1, ..., m_K) of an LQS sample; all sizes must be
+    integers >= 1."""
 
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(_positive_int(s, "layer size") for s in self.sizes)
         if len(sizes) == 0:
             raise DomainError("LayerSpec needs at least one layer")
-        if any(s < 1 for s in sizes):
-            raise DomainError(f"every layer size must be >= 1, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
 
     @property
@@ -100,11 +116,39 @@ class LayerSpec:
 
 
 def _as_layers(layers) -> LayerSpec:
+    """A LayerSpec from a spec, a sequence of sizes or one size."""
     if isinstance(layers, LayerSpec):
         return layers
-    if isinstance(layers, int):
-        return LayerSpec((layers,))
+    if not isinstance(layers, Iterable):
+        layers = (layers,)
     return LayerSpec(tuple(layers))
+
+
+def sample_size(method: str, m=None, layers=None):
+    """Checked (method, size) of one sample, the size as :func:`uniforms`
+    takes it.
+
+    ``method`` is one of :data:`METHODS`, in any case.  m must be an integer
+    >= 1; for LQS it may be left out and is then the layers' total.  LQS
+    requires layer sizes, which must sum to m, and its size is their
+    :class:`LayerSpec`; IID and QS reject layers, and their size is m.
+    Every failure raises :class:`DomainError`.
+    """
+    key = str(method).strip().lower()
+    if key not in METHODS:
+        raise DomainError(f"method must be one of {METHODS}, got {method!r}")
+    if key != "lqs":
+        if layers is not None:
+            raise DomainError(f"layer sizes are only valid with method 'lqs', not {key!r}")
+        return key, _positive_int(m, "sample size m")
+    if layers is None:
+        raise DomainError("lqs sampling requires layer sizes")
+    spec = _as_layers(layers)
+    if m is not None and _positive_int(m, "sample size m") != spec.total:
+        raise DomainError(
+            f"layer sizes {spec.sizes} sum to {spec.total}; they must sum to m={m}"
+        )
+    return key, spec
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +256,7 @@ def uniforms(method: str, size, reps: int, rng: np.random.Generator):
     elif method == "iid":
         u, blocks = iid_uniform_batches(size, reps, rng)
     else:
-        raise DomainError(f"method must be one of ('iid', 'qs', 'lqs'), got {method!r}")
+        raise DomainError(f"method must be one of {METHODS}, got {method!r}")
     return u, blocks, None
 
 
@@ -220,18 +264,22 @@ def uniforms(method: str, size, reps: int, rng: np.random.Generator):
 # Batch samplers
 # ---------------------------------------------------------------------------
 
-def sample(dist: Distribution, method: str, size, seed: int | None = None) -> SampleBatch:
-    """Draw one sample from ``dist`` by ``method`` ("iid", "qs" or "lqs").
+def sample(
+    dist: Distribution, method: str, m=None, seed: int | None = None, layers=None
+) -> SampleBatch:
+    """Draw one sample of size m from ``dist`` by ``method`` ("iid", "qs" or
+    "lqs"; LQS takes ``layers`` and may leave m out).
 
-    ``size`` is as in :func:`uniforms`: m, or the layer sizes for LQS.  The
-    batch is the ``reps=1`` row of the method's uniform generator pushed
-    through ``dist.quantile``.
+    (method, m, layers) are checked by :func:`sample_size`.  The batch is the
+    ``reps=1`` row of the method's uniform generator pushed through
+    ``dist.quantile``.
     """
+    method, size = sample_size(method, m, layers)
     seed = _fresh_seed() if seed is None else int(seed)
-    layers = _as_layers(size) if method == "lqs" else None
-    u, blocks, layer_idx = uniforms(method, layers or size, 1, np.random.default_rng(seed))
+    u, blocks, layer_idx = uniforms(method, size, 1, np.random.default_rng(seed))
     return SampleBatch(
-        method, u[0], dist.quantile(u[0]), blocks[0], seed, layers=layers,
+        method, u[0], dist.quantile(u[0]), blocks[0], seed,
+        layers=size if method == "lqs" else None,
         layer_index=None if layer_idx is None else layer_idx[0],
     )
 
@@ -261,4 +309,4 @@ def sample_lqs(dist: Distribution, layers, seed: int | None = None) -> SampleBat
     applies a uniform random permutation of all positions.  A single layer
     reduces to QS sampling; all-unit layers reduce to IID sampling.
     """
-    return sample(dist, "lqs", layers, seed)
+    return sample(dist, "lqs", seed=seed, layers=layers)

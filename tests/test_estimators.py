@@ -19,6 +19,7 @@ from qstrat.estimators import (
     taylor_variance_approx,
 )
 from qstrat.sampling import (
+    LayerSpec,
     qs_uniform_batches,
     sample_iid,
     sample_lqs,
@@ -261,3 +262,16 @@ class TestBenchmarkTruth:
         g = prob.proposal
         val, _ = quad(lambda x: (25 / 36) * np.exp(x * (1 - x)) * g.pdf(x), 0, np.inf)
         assert val == pytest.approx(prob.true_value, abs=1e-8)
+
+
+class TestSummaryLayers:
+    @pytest.mark.parametrize("method", ["iid", "qs"])
+    def test_no_layers_without_lqs(self, method):
+        prob = beta_log_integral()
+        assert estimate_replicates(prob, 10, method, 3, seed=1).layers is None
+        with pytest.raises(DomainError):
+            estimate_replicates(prob, 10, method, 3, seed=1, layers=(7, 7))
+
+    def test_lqs_summary_keeps_its_layer_spec(self):
+        study = estimate_replicates(beta_log_integral(), 10, "lqs", 3, seed=1, layers=[6, 4])
+        assert study.layers == LayerSpec((6, 4))
