@@ -21,7 +21,7 @@ import sys
 
 from . import theory
 from .distributions import distribution_from_name
-from .errors import DomainError, QstratError
+from .errors import DomainError, QstratError, check_int
 from .experiments import (
     DEFAULT_SEED,
     EXPERIMENTS,
@@ -41,9 +41,10 @@ def _default_seed() -> int:
     if env is None:
         return DEFAULT_SEED
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
         raise DomainError(f"QSTRAT_SEED must be an integer, got {env!r}") from None
+    return check_int(seed, "QSTRAT_SEED", low=0)
 
 
 def _parse_floats(text: str | None) -> tuple[float, ...]:
@@ -144,17 +145,11 @@ def _cmd_theory(args) -> int:
             for target in ("iid", "qs")
         }
     if args.ell is not None:
-        laws = {}
-        for method in ("iid", "qs"):
-            law = theory.spacing_law(m, args.ell, method)
-            laws[method] = {
-                "kind": law.kind,
-                "params": list(law.params),
-                "mean": law.mean,
-                "variance": law.variance,
-            }
         out["ell"] = args.ell
-        out["spacing_laws"] = laws
+        out["spacing_laws"] = {
+            method: dataclasses.asdict(theory.spacing_law(m, args.ell, method))
+            for method in ("iid", "qs")
+        }
     _write_output(json.dumps(out, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -187,7 +182,6 @@ def _cmd_experiment(args) -> int:
         example=args.example,
         ell=_parse_ints(args.ell),
     )
-    cfg = cfg.validate()
     result = run_experiment(cfg)
     artifact = render_artifact(result, cfg.format)
     _write_output(artifact, cfg.output_path)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import DomainError
+from .errors import DomainError, check_int, check_name
 
 __all__ = [
     "Distribution",
@@ -400,7 +400,7 @@ class BlockPartition:
     """
 
     def __init__(self, m: int, boundaries):
-        self.m = int(m)
+        self.m = check_int(m, "block count")
         self.boundaries = _as_float_array(boundaries)
 
     def __repr__(self):
@@ -409,8 +409,7 @@ class BlockPartition:
 
 def block_boundaries(dist: Distribution, m: int) -> BlockPartition:
     """Partition the support of ``dist`` into ``m`` equiprobable blocks."""
-    if m < 1:
-        raise DomainError(f"block count must be >= 1, got {m}")
+    m = check_int(m, "block count")
     w = np.empty(m + 1, dtype=np.float64)
     w[0], w[m] = dist.support
     if m > 1:
@@ -421,8 +420,8 @@ def block_boundaries(dist: Distribution, m: int) -> BlockPartition:
 def conditional_pdf(dist: Distribution, m: int, s: int, x):
     """Density of a value drawn from block ``s`` of the ``m``-block partition:
     m * f(x) on (w_{s-1}, w_s], zero elsewhere."""
+    m, s = _check_block_index(m, s)
     w = block_boundaries(dist, m).boundaries
-    _check_block_index(m, s)
     x_arr = _as_float_array(x)
     inside = (x_arr > w[s - 1]) & (x_arr <= w[s])
     out = np.where(inside, m * dist.pdf(x_arr), 0.0)
@@ -436,7 +435,7 @@ def conditional_cdf(dist: Distribution, m: int, s: int, x):
     left of the block and 1 right of it, and averaging over s = 1..m with
     weight 1/m recovers F(x) exactly (also for laws with atoms).
     """
-    _check_block_index(m, s)
+    m, s = _check_block_index(m, s)
     x_arr = _as_float_array(x)
     out = np.clip(m * dist.cdf(x_arr) - (s - 1), 0.0, 1.0)
     return _scalar_or_array(out, x)
@@ -444,7 +443,7 @@ def conditional_cdf(dist: Distribution, m: int, s: int, x):
 
 def conditional_quantile(dist: Distribution, m: int, s: int, p):
     """Quantile of block ``s``: Q((s + p - 1) / m)."""
-    _check_block_index(m, s)
+    m, s = _check_block_index(m, s)
     p_arr = _as_float_array(p)
     if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
         raise DomainError(f"conditional quantile probability outside [0, 1]: {p!r}")
@@ -452,11 +451,11 @@ def conditional_quantile(dist: Distribution, m: int, s: int, p):
     return _scalar_or_array(out, p)
 
 
-def _check_block_index(m: int, s: int) -> None:
-    if m < 1:
-        raise DomainError(f"block count must be >= 1, got {m}")
-    if not 1 <= s <= m:
+def _check_block_index(m: int, s: int) -> tuple[int, int]:
+    m, s = check_int(m, "block count"), check_int(s, "block index")
+    if s > m:
         raise DomainError(f"block index must be in 1..{m}, got {s}")
+    return m, s
 
 
 _BUILDERS = {
@@ -474,17 +473,12 @@ def distribution_from_name(name: str, params=()) -> Distribution:
     (x1, p1, x2, p2, ...); the other families take their natural parameters
     in order.
     """
-    key = name.strip().lower()
+    key = check_name(name, (*_BUILDERS, "discrete"), "distribution")
     params = tuple(float(v) for v in params)
     if key == "discrete":
         if len(params) < 2 or len(params) % 2 != 0:
             raise DomainError("discrete params must be x1,p1,x2,p2,... pairs")
         return Discrete(params[0::2], params[1::2])
-    if key not in _BUILDERS:
-        raise DomainError(
-            f"unknown distribution {name!r}; expected one of "
-            f"{sorted([*_BUILDERS, 'discrete'])}"
-        )
     n_args, build = _BUILDERS[key]
     if len(params) != n_args:
         raise DomainError(f"{key} takes {n_args} parameters, got {len(params)}")

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from .distributions import Beta, Distribution, Gamma
-from .errors import DomainError, EmptySampleError, ZeroProposalDensityError
+from .errors import EmptySampleError, ZeroProposalDensityError, check_int, check_name
 from . import sampling
 from .sampling import LayerSpec, sample_size, spawn_seed
 
@@ -116,9 +116,10 @@ def importance_estimate(
 
     ``method`` picks how the proposal sample is drawn: "iid", "qs", or "lqs"
     (the latter requires ``layers`` summing to m); see
-    :func:`sampling.sample_size`.
+    :func:`sampling.sample_size`.  A given seed must be an integer >= 0.
     """
     method, size = sample_size(method, m, layers)
+    seed = None if seed is None else check_int(seed, "seed", low=0)
     return float(_estimates(prob, method, size, [seed], 1)[0])
 
 
@@ -140,10 +141,11 @@ def estimate_replicates(
     :func:`importance_estimate` gives for that child seed.  A chunk holds
     at most 2^14 points (or one row, if m is larger), so memory stays
     bounded however many replicates run while the per-call overhead is
-    still amortized.
+    still amortized.  ``replicates`` must be an integer >= 1 and ``seed``
+    an integer >= 0.
     """
-    if replicates < 1:
-        raise DomainError(f"replicates must be >= 1, got {replicates}")
+    replicates = check_int(replicates, "replicates")
+    seed = check_int(seed, "seed", low=0)
     method, size = sample_size(method, m, layers)
     seeds = (spawn_seed(seed, r) for r in range(replicates))
     estimates = _estimates(prob, method, size, seeds, replicates)
@@ -153,8 +155,7 @@ def estimate_replicates(
     if prob.true_value is not None:
         rmse = float(np.sqrt(np.mean((estimates - prob.true_value) ** 2)))
     return EstimateSummary(
-        estimates, mean, std_err, rmse, method, _size_m(method, size), int(replicates),
-        int(seed),
+        estimates, mean, std_err, rmse, method, _size_m(method, size), replicates, seed,
         layers=size if method == "lqs" else None,
     )
 
@@ -194,12 +195,8 @@ def taylor_variance_approx(g_prime_half: float, m: int, method: str) -> float:
     G'(1/2)^2 / (12 m) for IID sampling and G'(1/2)^2 / (12 m^3) for QS
     sampling: the stratification cancels all but 1/m^2 of the variance.
     """
-    m = int(m)
-    if m < 1:
-        raise DomainError(f"sample size m must be >= 1, got {m}")
-    method = str(method).strip().lower()
-    if method not in ("iid", "qs"):
-        raise DomainError(f"method must be 'iid' or 'qs', got {method!r}")
+    m = check_int(m, "sample size m")
+    method = check_name(method, ("iid", "qs"), "method")
     g2 = float(g_prime_half) ** 2
     if method == "iid":
         return g2 / (12.0 * m)

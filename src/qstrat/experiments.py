@@ -14,13 +14,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import theory
 from .distributions import Distribution, distribution_from_name
-from .errors import DomainError
+from .errors import DomainError, check_int, check_name
 from .estimators import BENCHMARKS, estimate_replicates
 from .sampling import sample_size, spawn_seed, uniforms
 
@@ -59,13 +60,16 @@ _METHOD_STREAM = {"iid": 0, "qs": 1, "lqs": 2}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs of one experiment run.
+    """Inputs of one experiment run, checked when the config is built.
 
     ``dist``/``params`` specify the sampling distribution where one is
     needed; ``layers`` adds the LQS method to method-comparison experiments
     and must sum to ``m``.  ``ell`` is the spacing-lag list for the spacing
     check and ``example`` picks the benchmark integral ("a" or "b") for the
-    importance study.
+    importance study.  m, layers, replicates and ell are integers >= 1 and
+    the seed an integer >= 0, stored as Python ints (layers and ell as
+    tuples; one lag may be given bare); the experiment, format and example
+    names are stored in lower case.  A bad field raises DomainError.
     """
 
     experiment: str
@@ -80,29 +84,30 @@ class ExperimentConfig:
     example: str = "a"
     ell: tuple[int, ...] = (1, 3, 5)
 
+    def __post_init__(self):
+        experiment = check_name(self.experiment, EXPERIMENTS, "experiment")
+        _, m = sample_size("qs", self.m)
+        ell = self.ell if isinstance(self.ell, Iterable) else (self.ell,)
+        checked = {
+            "experiment": experiment,
+            "m": m,
+            "seed": check_int(self.seed, "seed", low=0),
+            "format": check_name(self.format, ("csv", "json"), "format"),
+            "ell": tuple(check_int(v, "spacing lag") for v in ell),
+        }
+        if self.layers is not None:
+            checked["layers"] = sample_size("lqs", m, self.layers)[1].sizes
+        if self.replicates is not None:
+            checked["replicates"] = check_int(self.replicates, "replicates")
+        if experiment == "importance_study":
+            checked["example"] = check_name(self.example, BENCHMARKS, "example")
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+
     def resolved_replicates(self) -> int:
         if self.replicates is not None:
-            return int(self.replicates)
+            return self.replicates
         return DEFAULT_REPLICATES[self.experiment]
-
-    def validate(self) -> "ExperimentConfig":
-        if self.experiment not in EXPERIMENTS:
-            raise DomainError(
-                f"unknown experiment {self.experiment!r}; "
-                f"expected one of {sorted(EXPERIMENTS)}"
-            )
-        sample_size("qs", self.m)
-        if self.layers is not None:
-            sample_size("lqs", self.m, self.layers)
-        if self.resolved_replicates() < 1:
-            raise DomainError("replicates must be >= 1")
-        if self.format not in ("csv", "json"):
-            raise DomainError(f"format must be csv or json, got {self.format!r}")
-        if self.experiment == "importance_study" and self.example not in BENCHMARKS:
-            raise DomainError(
-                f"example must be one of {sorted(BENCHMARKS)}, got {self.example!r}"
-            )
-        return self
 
 
 @dataclass
@@ -154,7 +159,6 @@ def _z_row(method: str, statistic: str, theory_value: float, values: np.ndarray)
 def run_moment_check(cfg: ExperimentConfig) -> ExperimentResult:
     """Empirical mean/variance/pairwise correlation of the method uniforms
     against the closed-form moments, with z-scores."""
-    cfg = cfg.validate()
     if cfg.m < 2:
         raise DomainError("moment check needs m >= 2 for pairwise statistics")
     reps = cfg.resolved_replicates()
@@ -205,7 +209,6 @@ def run_qq_export(cfg: ExperimentConfig) -> ExperimentResult:
     IID rows use Q(k/(m+1)); QS and LQS rows use Q((k - 1/2)/m), the expected
     order statistics under each scheme.
     """
-    cfg = cfg.validate()
     dist = _distribution(cfg)
     reps = cfg.resolved_replicates()
     m = cfg.m
@@ -248,7 +251,6 @@ def run_qq_export(cfg: ExperimentConfig) -> ExperimentResult:
 def run_mse_grid(cfg: ExperimentConfig) -> ExperimentResult:
     """Exact MSE of both methods for every (m, k) up to cfg.m and both
     quantile targets, with the log-MSE difference log(IID) - log(QS)."""
-    cfg = cfg.validate()
     rows = []
     for target in ("iid", "qs"):
         for m in range(1, cfg.m + 1):
@@ -286,9 +288,8 @@ def run_spacing_check(cfg: ExperimentConfig) -> ExperimentResult:
     """
     from scipy import stats  # imported here: it is slow and used only here
 
-    cfg = cfg.validate()
     m = cfg.m
-    lags = tuple(int(v) for v in cfg.ell)
+    lags = cfg.ell
     if any(not 1 <= v <= m - 1 for v in lags):
         raise DomainError(f"spacing lags must be in 1..{m - 1}, got {lags}")
     reps = cfg.resolved_replicates()
@@ -347,7 +348,6 @@ def run_importance_study(cfg: ExperimentConfig) -> ExperimentResult:
     Emits per-replicate estimates (violin-plot ready) for each method plus a
     summary with mean, standard error and RMSE against the true value.
     """
-    cfg = cfg.validate()
     prob = BENCHMARKS[cfg.example]()
     reps = cfg.resolved_replicates()
     rows = []
@@ -393,8 +393,7 @@ EXPERIMENTS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Dispatch a validated config to its experiment function."""
-    cfg = cfg.validate()
+    """Dispatch a config to its experiment function."""
     return EXPERIMENTS[cfg.experiment](cfg)
 
 
@@ -444,11 +443,9 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     if unknown:
         raise DomainError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(mapping)
-    for key in ("params", "layers", "ell"):
-        if key in kwargs and kwargs[key] is not None:
-            kwargs[key] = tuple(kwargs[key])
-    cfg = ExperimentConfig(**kwargs)
-    return cfg.validate()
+    if kwargs.get("params") is not None:
+        kwargs["params"] = tuple(kwargs["params"])
+    return ExperimentConfig(**kwargs)
 
 
 def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:

@@ -18,14 +18,13 @@ order.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import Distribution
-from .errors import DomainError
+from .errors import DomainError, check_int, check_name
 
 __all__ = [
     "METHODS",
@@ -57,13 +56,15 @@ def _fresh_seed() -> int:
 
 
 def spawn_seed(seed: int, index: int) -> int:
-    """Derive an independent 64-bit child seed from (master seed, index).
+    """Derive an independent 64-bit child seed from (master seed, index),
+    both integers >= 0.
 
     Uses numpy's splittable SeedSequence, so child streams are statistically
     independent and the derivation does not depend on how many other children
     exist or in which order they are created.
     """
-    ss = np.random.SeedSequence(int(seed), spawn_key=(int(index),))
+    ss = np.random.SeedSequence(check_int(seed, "seed", low=0),
+                                spawn_key=(check_int(index, "stream index", low=0),))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -82,17 +83,6 @@ def _open_uniform(rng: np.random.Generator, shape) -> np.ndarray:
 # Sample sizes and layer specification
 # ---------------------------------------------------------------------------
 
-def _positive_int(value, what: str) -> int:
-    """``value`` as an int, if it is an integer (numpy integers too) >= 1."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
-    if n < 1:
-        raise DomainError(f"{what} must be >= 1, got {n}")
-    return n
-
-
 @dataclass(frozen=True)
 class LayerSpec:
     """Layer sizes (m_1, ..., m_K) of an LQS sample; all sizes must be
@@ -101,7 +91,7 @@ class LayerSpec:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(_positive_int(s, "layer size") for s in self.sizes)
+        sizes = tuple(check_int(s, "layer size") for s in self.sizes)
         if len(sizes) == 0:
             raise DomainError("LayerSpec needs at least one layer")
         object.__setattr__(self, "sizes", sizes)
@@ -134,17 +124,15 @@ def sample_size(method: str, m=None, layers=None):
     :class:`LayerSpec`; IID and QS reject layers, and their size is m.
     Every failure raises :class:`DomainError`.
     """
-    key = str(method).strip().lower()
-    if key not in METHODS:
-        raise DomainError(f"method must be one of {METHODS}, got {method!r}")
+    key = check_name(method, METHODS, "method")
     if key != "lqs":
         if layers is not None:
             raise DomainError(f"layer sizes are only valid with method 'lqs', not {key!r}")
-        return key, _positive_int(m, "sample size m")
+        return key, check_int(m, "sample size m")
     if layers is None:
         raise DomainError("lqs sampling requires layer sizes")
     spec = _as_layers(layers)
-    if m is not None and _positive_int(m, "sample size m") != spec.total:
+    if m is not None and check_int(m, "sample size m") != spec.total:
         raise DomainError(
             f"layer sizes {spec.sizes} sum to {spec.total}; they must sum to m={m}"
         )
@@ -180,8 +168,7 @@ class SampleBatch:
 def srswor_perm(m: int, rng: np.random.Generator) -> np.ndarray:
     """Simple random sample of all of {1, ..., m} without replacement,
     i.e. a uniformly random permutation."""
-    if m < 1:
-        raise DomainError(f"permutation size must be >= 1, got {m}")
+    m = check_int(m, "permutation size")
     return rng.permutation(np.arange(1, m + 1))
 
 
@@ -191,8 +178,7 @@ def srswor_perm(m: int, rng: np.random.Generator) -> np.ndarray:
 
 def iid_uniform_batches(m: int, reps: int, rng: np.random.Generator):
     """IID uniforms of shape (reps, m) and their block indices ceil(m*U)."""
-    if m < 1:
-        raise DomainError(f"sample size must be >= 1, got {m}")
+    m = check_int(m, "sample size m")
     u = _open_uniform(rng, (reps, m))
     blocks = np.ceil(m * u).astype(np.int64)
     return u, blocks
@@ -205,8 +191,7 @@ def qs_uniform_batches(m: int, reps: int, rng: np.random.Generator):
     U_i = (sigma_i - r_i) / m with r_i in [0, 1), which lands U_i in the
     half-open block ((sigma_i - 1)/m, sigma_i/m].
     """
-    if m < 1:
-        raise DomainError(f"sample size must be >= 1, got {m}")
+    m = check_int(m, "sample size m")
     perms = rng.permuted(np.tile(np.arange(1, m + 1), (reps, 1)), axis=1)
     r = rng.random((reps, m))
     u = (perms - r) / m
@@ -270,12 +255,13 @@ def sample(
     """Draw one sample of size m from ``dist`` by ``method`` ("iid", "qs" or
     "lqs"; LQS takes ``layers`` and may leave m out).
 
-    (method, m, layers) are checked by :func:`sample_size`.  The batch is the
+    (method, m, layers) are checked by :func:`sample_size`; a given seed must
+    be an integer >= 0, and None draws a fresh one.  The batch is the
     ``reps=1`` row of the method's uniform generator pushed through
     ``dist.quantile``.
     """
     method, size = sample_size(method, m, layers)
-    seed = _fresh_seed() if seed is None else int(seed)
+    seed = _fresh_seed() if seed is None else check_int(seed, "seed", low=0)
     u, blocks, layer_idx = uniforms(method, size, 1, np.random.default_rng(seed))
     return SampleBatch(
         method, u[0], dist.quantile(u[0]), blocks[0], seed,

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, PairUndefinedError
+from .errors import DomainError, PairUndefinedError, check_int, check_name
 from .sampling import _as_layers
 
 __all__ = [
@@ -43,25 +43,9 @@ METHODS = ("iid", "qs")
 TARGETS = ("iid", "qs")
 
 
-def _check_method(method: str) -> str:
-    key = str(method).strip().lower()
-    if key not in METHODS:
-        raise DomainError(f"method must be one of {METHODS}, got {method!r}")
-    return key
-
-
-def _check_target(target: str) -> str:
-    key = str(target).strip().lower()
-    if key not in TARGETS:
-        raise DomainError(f"target must be one of {TARGETS}, got {target!r}")
-    return key
-
-
 def _check_m_k(m: int, k: int) -> tuple[int, int]:
-    m, k = int(m), int(k)
-    if m < 1:
-        raise DomainError(f"sample size m must be >= 1, got {m}")
-    if not 1 <= k <= m:
+    m, k = check_int(m, "sample size m"), check_int(k, "order index k")
+    if k > m:
         raise DomainError(f"order index k must be in 1..{m}, got {k}")
     return m, k
 
@@ -80,16 +64,10 @@ def qs_uniform_moments(m: int) -> MomentSummary:
     """Moments of the m QS uniforms: mean 1/2, variance 1/12, and pairwise
     covariance -(m+1)/(12 m^2) (correlation -(m+1)/m^2).
 
-    Raises PairUndefinedError for m = 1, where no pair exists.
+    Raises PairUndefinedError for m = 1, where no pair exists.  These are the
+    moments of one LQS layer of size m.
     """
-    m = int(m)
-    if m < 1:
-        raise DomainError(f"sample size m must be >= 1, got {m}")
-    if m == 1:
-        raise PairUndefinedError("pairwise moments need a sample of size >= 2")
-    cov = -Fraction(m + 1, 12 * m * m)
-    corr = -Fraction(m + 1, m * m)
-    return MomentSummary(0.5, float(Fraction(1, 12)), float(cov), float(corr))
+    return lqs_uniform_moments((check_int(m, "sample size m"),))
 
 
 def lqs_uniform_moments(layers) -> MomentSummary:
@@ -146,7 +124,7 @@ def order_stat_moments(m: int, k: int, method: str) -> tuple[float, float]:
     (k - 1/2)/m and variance 1/(12 m^2) for every k.
     """
     m, k = _check_m_k(m, k)
-    method = _check_method(method)
+    method = check_name(method, METHODS, "method")
     pk, pk_star = _targets_frac(m, k)
     if method == "iid":
         return float(pk), float(pk * (1 - pk) / (m + 2))
@@ -171,8 +149,8 @@ def mse_exact(m: int, k: int, target: str, method: str) -> float:
     ==========  =========  =============================================
     """
     m, k = _check_m_k(m, k)
-    target = _check_target(target)
-    method = _check_method(method)
+    target = check_name(target, TARGETS, "target")
+    method = check_name(method, METHODS, "method")
     pk, pk_star = _targets_frac(m, k)
     if method == "iid" and target == "iid":
         out = pk * (1 - pk) / (m + 2)
@@ -195,11 +173,9 @@ def mse_asymptotic(phi: float, m: int, target: str, method: str) -> float:
     phi = float(phi)
     if not 0.0 < phi < 1.0:
         raise DomainError(f"phi must lie strictly inside (0, 1), got {phi}")
-    m = int(m)
-    if m < 1:
-        raise DomainError(f"sample size m must be >= 1, got {m}")
-    target = _check_target(target)
-    method = _check_method(method)
+    m = check_int(m, "sample size m")
+    target = check_name(target, TARGETS, "target")
+    method = check_name(method, METHODS, "method")
     if method == "iid":
         return phi * (1.0 - phi) / m
     if target == "iid":
@@ -217,7 +193,7 @@ def log_mse_gap_profile(phi: float, target: str) -> float:
     phi = float(phi)
     if not 0.0 < phi < 1.0:
         raise DomainError(f"phi must lie strictly inside (0, 1), got {phi}")
-    target = _check_target(target)
+    target = check_name(target, TARGETS, "target")
     r = math.log(phi * (1.0 - phi))
     if target == "iid":
         r -= math.log(1.0 - 3.0 * phi * (1.0 - phi))
@@ -275,11 +251,10 @@ def spacing_law(m: int, ell: int, method: str) -> SpacingLaw:
     triangular law on ((ell-1)/m, (ell+1)/m) with mode ell/m.  Neither law
     depends on k.
     """
-    m, ell_checked = int(m), int(ell)
-    if not 1 <= ell_checked <= m - 1:
+    m, ell = check_int(m, "sample size m"), check_int(ell, "spacing lag")
+    if ell > m - 1:
         raise DomainError(f"spacing lag must be in 1..{m - 1}, got {ell}")
-    ell = ell_checked
-    method = _check_method(method)
+    method = check_name(method, METHODS, "method")
     if method == "iid":
         mean = Fraction(ell, m + 1)
         var = Fraction(ell * (m - ell + 1), (m + 1) ** 2 * (m + 2))
