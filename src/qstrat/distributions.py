@@ -46,15 +46,11 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)
 _SERIES_ROOT = 1e-12
 
 
-def _as_float_array(x):
-    return np.asarray(x, dtype=np.float64)
-
-
-def _scalar_or_array(out, x_in):
-    out = np.asarray(out)
-    if np.ndim(x_in) == 0:
-        return float(out)
-    return out
+def _elementwise(fn, x):
+    """``fn`` of ``x`` as a float64 array, returned as a float64 array of x's
+    shape, or as a float when x is a scalar (a number or a 0-d array)."""
+    out = np.asarray(fn(np.asarray(x, dtype=np.float64)), dtype=np.float64)
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def _tail_quantile(p, a, log_c, cut, inverse, rate=1.0):
@@ -85,28 +81,24 @@ def _join_tails(p, lower, upper, median):
 class Distribution:
     """Base class: a univariate law with pdf, cdf and quantile function.
 
-    Subclasses set ``name``, ``support`` and implement ``cdf``,
-    ``_quantile_inner`` (quantile for p strictly inside (0, 1)) and ``pdf``
-    or ``logpdf`` (each defaults to the other).  All evaluation methods are
-    pure, vectorized over numpy arrays, and return a float for scalar input.
+    ``pdf``, ``logpdf``, ``cdf`` and ``quantile`` take a float or an array
+    and return a float64 array of its shape, or a float for scalar input.
+    Subclasses set ``name``, ``support`` and implement hooks on float64
+    arrays: ``_cdf``, ``_quantile_inner`` (quantile for p strictly inside
+    (0, 1)) and ``_pdf`` or ``_logpdf`` (each defaults to the other).
     """
 
     name: str = "distribution"
     support: tuple[float, float] = (-np.inf, np.inf)
 
     def pdf(self, x):
-        return _scalar_or_array(np.exp(self.logpdf(_as_float_array(x))), x)
+        return _elementwise(self._pdf, x)
 
     def logpdf(self, x):
-        with np.errstate(divide="ignore"):
-            return _scalar_or_array(np.log(self.pdf(_as_float_array(x))), x)
+        return _elementwise(self._logpdf, x)
 
     def cdf(self, x):
-        raise NotImplementedError
-
-    def _quantile_inner(self, p):
-        """Quantile for probabilities strictly inside (0, 1)."""
-        raise NotImplementedError
+        return _elementwise(self._cdf, x)
 
     def quantile(self, p):
         """Generalized inverse CDF, Q(p) = inf{x : F(x) >= p}.
@@ -114,23 +106,39 @@ class Distribution:
         p = 0 or p = 1 is allowed only when the corresponding support
         endpoint is finite; otherwise a DomainError is raised.
         """
-        p_arr = _as_float_array(p)
-        if np.any(np.isnan(p_arr)) or np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
-            raise DomainError(f"quantile probability outside [0, 1]: {p!r}")
-        lo, hi = self.support
-        at_zero = p_arr == 0.0
-        at_one = p_arr == 1.0
-        if np.any(at_zero) and not np.isfinite(lo):
-            raise DomainError(f"Q(0) is -inf for {self.name}; not a real quantile")
-        if np.any(at_one) and not np.isfinite(hi):
-            raise DomainError(f"Q(1) is +inf for {self.name}; not a real quantile")
-        interior = ~(at_zero | at_one)
-        out = np.empty(p_arr.shape, dtype=np.float64)
-        out[at_zero] = lo
-        out[at_one] = hi
-        if np.any(interior):
-            out[interior] = self._quantile_inner(p_arr[interior])
-        return _scalar_or_array(out, p)
+        def inverse(p_arr):
+            if np.any(np.isnan(p_arr)) or np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
+                raise DomainError(f"quantile probability outside [0, 1]: {p!r}")
+            lo, hi = self.support
+            at_zero = p_arr == 0.0
+            at_one = p_arr == 1.0
+            if np.any(at_zero) and not np.isfinite(lo):
+                raise DomainError(f"Q(0) is -inf for {self.name}; not a real quantile")
+            if np.any(at_one) and not np.isfinite(hi):
+                raise DomainError(f"Q(1) is +inf for {self.name}; not a real quantile")
+            interior = ~(at_zero | at_one)
+            out = np.empty(p_arr.shape, dtype=np.float64)
+            out[at_zero] = lo
+            out[at_one] = hi
+            if np.any(interior):
+                out[interior] = self._quantile_inner(p_arr[interior])
+            return out
+
+        return _elementwise(inverse, p)
+
+    def _pdf(self, x):
+        return np.exp(self._logpdf(x))
+
+    def _logpdf(self, x):
+        with np.errstate(divide="ignore"):
+            return np.log(self._pdf(x))
+
+    def _cdf(self, x):
+        raise NotImplementedError
+
+    def _quantile_inner(self, p):
+        """Quantile for probabilities strictly inside (0, 1)."""
+        raise NotImplementedError
 
     def params(self) -> dict:
         """Distribution parameters, for reports and artifacts."""
@@ -147,19 +155,11 @@ class Uniform01(Distribution):
     name = "uniform"
     support = (0.0, 1.0)
 
-    def pdf(self, x):
-        x_arr = _as_float_array(x)
-        out = np.where((x_arr >= 0.0) & (x_arr <= 1.0), 1.0, 0.0)
-        return _scalar_or_array(out, x)
+    def _logpdf(self, x):
+        return np.where((x >= 0.0) & (x <= 1.0), 0.0, -np.inf)
 
-    def logpdf(self, x):
-        x_arr = _as_float_array(x)
-        out = np.where((x_arr >= 0.0) & (x_arr <= 1.0), 0.0, -np.inf)
-        return _scalar_or_array(out, x)
-
-    def cdf(self, x):
-        out = np.clip(_as_float_array(x), 0.0, 1.0)
-        return _scalar_or_array(out, x)
+    def _cdf(self, x):
+        return np.clip(x, 0.0, 1.0)
 
     def _quantile_inner(self, p):
         return p
@@ -169,7 +169,6 @@ class Normal(Distribution):
     """Normal law with mean ``mu`` and standard deviation ``sigma``."""
 
     name = "normal"
-    support = (-np.inf, np.inf)
 
     def __init__(self, mu: float = 0.0, sigma: float = 1.0):
         if not (sigma > 0.0 and np.isfinite(sigma)) or not np.isfinite(mu):
@@ -177,14 +176,12 @@ class Normal(Distribution):
         self.mu = float(mu)
         self.sigma = float(sigma)
 
-    def logpdf(self, x):
-        z = (_as_float_array(x) - self.mu) / self.sigma
-        out = -0.5 * z * z - math.log(self.sigma) - _LOG_SQRT_2PI
-        return _scalar_or_array(out, x)
+    def _logpdf(self, x):
+        z = (x - self.mu) / self.sigma
+        return -0.5 * z * z - math.log(self.sigma) - _LOG_SQRT_2PI
 
-    def cdf(self, x):
-        z = (_as_float_array(x) - self.mu) / self.sigma
-        return _scalar_or_array(special.ndtr(z), x)
+    def _cdf(self, x):
+        return special.ndtr((x - self.mu) / self.sigma)
 
     def _quantile_inner(self, p):
         return self.mu + self.sigma * special.ndtri(p)
@@ -212,11 +209,10 @@ class Beta(Distribution):
         self._log_norm = special.betaln(self.a, self.b)
         self._median = self._lower(self.a, self.b, 0.5)[0]
 
-    def logpdf(self, x):
-        x_arr = _as_float_array(x)
-        inside = (x_arr > 0.0) & (x_arr < 1.0)
+    def _logpdf(self, x):
+        inside = (x > 0.0) & (x < 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xs = np.where(inside, x_arr, 0.5)
+            xs = np.where(inside, x, 0.5)
             out = np.where(
                 inside,
                 (self.a - 1.0) * np.log(xs)
@@ -226,14 +222,13 @@ class Beta(Distribution):
             )
         # Endpoint density is finite (and nonzero) only for unit shape.
         if self.a == 1.0:
-            out = np.where(x_arr == 0.0, -self._log_norm, out)
+            out = np.where(x == 0.0, -self._log_norm, out)
         if self.b == 1.0:
-            out = np.where(x_arr == 1.0, -self._log_norm, out)
-        return _scalar_or_array(out, x)
+            out = np.where(x == 1.0, -self._log_norm, out)
+        return out
 
-    def cdf(self, x):
-        x_arr = np.clip(_as_float_array(x), 0.0, 1.0)
-        return _scalar_or_array(special.betainc(self.a, self.b, x_arr), x)
+    def _cdf(self, x):
+        return special.betainc(self.a, self.b, np.clip(x, 0.0, 1.0))
 
     def _lower(self, a, b, p):
         # I_x(a, b) = x^a / (a B(a, b)) * (1 + a(1-b)/(a+1) x + ...): the cut
@@ -262,33 +257,31 @@ class Gamma(Distribution):
     """
 
     name = "gamma"
+    support = (0.0, np.inf)
 
     def __init__(self, shape: float, rate: float):
         if not (shape > 0.0 and rate > 0.0 and np.isfinite(shape) and np.isfinite(rate)):
             raise DomainError(f"gamma requires shape > 0 and rate > 0, got {shape}, {rate}")
         self.shape = float(shape)
         self.rate = float(rate)
-        self.support = (0.0, np.inf)
         self._log_norm = self.shape * math.log(self.rate) - special.gammaln(self.shape)
         self._median = self._lower(0.5)[0]
 
-    def logpdf(self, x):
-        x_arr = _as_float_array(x)
-        inside = x_arr > 0.0
+    def _logpdf(self, x):
+        inside = x > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            xs = np.where(inside, x_arr, 1.0)
+            xs = np.where(inside, x, 1.0)
             out = np.where(
                 inside,
                 self._log_norm + (self.shape - 1.0) * np.log(xs) - self.rate * xs,
                 -np.inf,
             )
         if self.shape == 1.0:
-            out = np.where(x_arr == 0.0, self._log_norm, out)
-        return _scalar_or_array(out, x)
+            out = np.where(x == 0.0, self._log_norm, out)
+        return out
 
-    def cdf(self, x):
-        x_arr = np.maximum(_as_float_array(x), 0.0)
-        return _scalar_or_array(special.gammainc(self.shape, self.rate * x_arr), x)
+    def _cdf(self, x):
+        return special.gammainc(self.shape, self.rate * np.maximum(x, 0.0))
 
     def _lower(self, p):
         # P(a, t) = t^a / Gamma(a + 1) * (1 - a t / (a + 1) + ...), t = rate * x.
@@ -315,8 +308,8 @@ class Discrete(Distribution):
     name = "discrete"
 
     def __init__(self, points, probs):
-        pts = _as_float_array(points)
-        pr = _as_float_array(probs)
+        pts = np.asarray(points, dtype=np.float64)
+        pr = np.asarray(probs, dtype=np.float64)
         if pts.ndim != 1 or pr.shape != pts.shape or pts.size == 0:
             raise DomainError("discrete requires matching 1-d points and probs")
         if np.any(np.diff(pts) <= 0.0):
@@ -332,19 +325,13 @@ class Discrete(Distribution):
         self._cum[-1] = 1.0  # guard cumsum rounding so Q(1) is the last atom
         self.support = (float(pts[0]), float(pts[-1]))
 
-    def pdf(self, x):
-        x_arr = _as_float_array(x)
-        idx = np.searchsorted(self.points, x_arr)
-        idx_c = np.minimum(idx, self.points.size - 1)
-        hit = self.points[idx_c] == x_arr
-        out = np.where(hit, self.probs[idx_c], 0.0)
-        return _scalar_or_array(out, x)
+    def _pdf(self, x):
+        idx = np.minimum(np.searchsorted(self.points, x), self.points.size - 1)
+        return np.where(self.points[idx] == x, self.probs[idx], 0.0)
 
-    def cdf(self, x):
-        x_arr = _as_float_array(x)
-        idx = np.searchsorted(self.points, x_arr, side="right")
-        cum = np.concatenate(([0.0], self._cum))
-        return _scalar_or_array(cum[idx], x)
+    def _cdf(self, x):
+        idx = np.searchsorted(self.points, x, side="right")
+        return np.concatenate(([0.0], self._cum))[idx]
 
     def _quantile_inner(self, p):
         idx = np.searchsorted(self._cum, p, side="left")
@@ -366,29 +353,29 @@ class Custom(Distribution):
 
     def __init__(self, quantile, pdf=None, cdf=None, logpdf=None,
                  support=(-np.inf, np.inf)):
-        self._quantile = quantile
-        self._pdf = pdf
-        self._cdf = cdf
-        self._logpdf = logpdf
+        self._user_quantile = quantile
+        self._user_pdf = pdf
+        self._user_cdf = cdf
+        self._user_logpdf = logpdf
         self.support = (float(support[0]), float(support[1]))
 
-    def pdf(self, x):
-        if self._pdf is None:
+    def _pdf(self, x):
+        if self._user_pdf is None:
             raise DomainError("custom distribution has no density function")
-        return _scalar_or_array(_as_float_array(self._pdf(_as_float_array(x))), x)
+        return self._user_pdf(x)
 
-    def logpdf(self, x):
-        if self._logpdf is None:
-            return super().logpdf(x)
-        return _scalar_or_array(_as_float_array(self._logpdf(_as_float_array(x))), x)
+    def _logpdf(self, x):
+        if self._user_logpdf is None:
+            return super()._logpdf(x)
+        return self._user_logpdf(x)
 
-    def cdf(self, x):
-        if self._cdf is None:
+    def _cdf(self, x):
+        if self._user_cdf is None:
             raise DomainError("custom distribution has no CDF")
-        return _scalar_or_array(_as_float_array(self._cdf(_as_float_array(x))), x)
+        return self._user_cdf(x)
 
     def _quantile_inner(self, p):
-        return _as_float_array(self._quantile(p))
+        return self._user_quantile(p)
 
 
 class BlockPartition:
@@ -401,7 +388,7 @@ class BlockPartition:
 
     def __init__(self, m: int, boundaries):
         self.m = check_int(m, "block count")
-        self.boundaries = _as_float_array(boundaries)
+        self.boundaries = np.asarray(boundaries, dtype=np.float64)
 
     def __repr__(self):
         return f"BlockPartition(m={self.m}, boundaries={self.boundaries!r})"
@@ -422,10 +409,8 @@ def conditional_pdf(dist: Distribution, m: int, s: int, x):
     m * f(x) on (w_{s-1}, w_s], zero elsewhere."""
     m, s = _check_block_index(m, s)
     w = block_boundaries(dist, m).boundaries
-    x_arr = _as_float_array(x)
-    inside = (x_arr > w[s - 1]) & (x_arr <= w[s])
-    out = np.where(inside, m * dist.pdf(x_arr), 0.0)
-    return _scalar_or_array(out, x)
+    return _elementwise(
+        lambda x: np.where((x > w[s - 1]) & (x <= w[s]), m * dist.pdf(x), 0.0), x)
 
 
 def conditional_cdf(dist: Distribution, m: int, s: int, x):
@@ -436,19 +421,19 @@ def conditional_cdf(dist: Distribution, m: int, s: int, x):
     weight 1/m recovers F(x) exactly (also for laws with atoms).
     """
     m, s = _check_block_index(m, s)
-    x_arr = _as_float_array(x)
-    out = np.clip(m * dist.cdf(x_arr) - (s - 1), 0.0, 1.0)
-    return _scalar_or_array(out, x)
+    return _elementwise(lambda x: np.clip(m * dist.cdf(x) - (s - 1), 0.0, 1.0), x)
 
 
 def conditional_quantile(dist: Distribution, m: int, s: int, p):
     """Quantile of block ``s``: Q((s + p - 1) / m)."""
     m, s = _check_block_index(m, s)
-    p_arr = _as_float_array(p)
-    if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
-        raise DomainError(f"conditional quantile probability outside [0, 1]: {p!r}")
-    out = dist.quantile((s + p_arr - 1.0) / m)
-    return _scalar_or_array(out, p)
+
+    def inverse(p_arr):
+        if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
+            raise DomainError(f"conditional quantile probability outside [0, 1]: {p!r}")
+        return dist.quantile((s + p_arr - 1.0) / m)
+
+    return _elementwise(inverse, p)
 
 
 def _check_block_index(m: int, s: int) -> tuple[int, int]:
@@ -474,7 +459,10 @@ def distribution_from_name(name: str, params=()) -> Distribution:
     in order.
     """
     key = check_name(name, (*_BUILDERS, "discrete"), "distribution")
-    params = tuple(float(v) for v in params)
+    try:
+        params = tuple(float(v) for v in params)
+    except (TypeError, ValueError):
+        raise DomainError(f"{key} parameters must be numbers, got {params!r}") from None
     if key == "discrete":
         if len(params) < 2 or len(params) % 2 != 0:
             raise DomainError("discrete params must be x1,p1,x2,p2,... pairs")

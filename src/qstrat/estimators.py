@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .distributions import Beta, Distribution, Gamma
+from .distributions import Beta, Distribution, Gamma, _elementwise
 from .errors import EmptySampleError, ZeroProposalDensityError, check_int, check_name
 from . import sampling
 from .sampling import LayerSpec, sample_size, spawn_seed
@@ -87,22 +87,21 @@ def importance_weight(x, prob: ImportanceProblem):
     contribute weight 0 regardless of g; a zero proposal density anywhere
     else is an error, since the integral is then not recoverable from g.
     """
-    x_arr = np.asarray(x, dtype=np.float64)
-    h = np.asarray(prob.integrand(x_arr), dtype=np.float64)
-    log_f = np.asarray(prob.target.logpdf(x_arr), dtype=np.float64)
-    log_g = np.asarray(prob.proposal.logpdf(x_arr), dtype=np.float64)
-    dead = (h == 0.0) | np.isneginf(log_f)
-    if np.any(np.isneginf(log_g) & ~dead):
-        bad = np.asarray(x_arr)[np.isneginf(log_g) & ~dead]
-        raise ZeroProposalDensityError(
-            f"proposal density is zero at x={bad.flat[0]} where H(x) f(x) != 0"
-        )
-    # Substitute neutral logs on dead points so -inf - -inf never forms.
-    ratio = np.exp(np.where(dead, 0.0, log_f) - np.where(dead, 0.0, log_g))
-    out = np.where(dead, 0.0, h * ratio)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    def weight(x):
+        h = np.asarray(prob.integrand(x), dtype=np.float64)
+        log_f = prob.target.logpdf(x)
+        log_g = prob.proposal.logpdf(x)
+        dead = (h == 0.0) | np.isneginf(log_f)
+        zero_g = np.isneginf(log_g) & ~dead
+        if np.any(zero_g):
+            raise ZeroProposalDensityError(
+                f"proposal density is zero at x={x[zero_g].flat[0]} where H(x) f(x) != 0"
+            )
+        # Substitute neutral logs on dead points so -inf - -inf never forms.
+        ratio = np.exp(np.where(dead, 0.0, log_f) - np.where(dead, 0.0, log_g))
+        return np.where(dead, 0.0, h * ratio)
+
+    return _elementwise(weight, x)
 
 
 def importance_estimate(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import theory
-from .distributions import Distribution, distribution_from_name
+from .distributions import distribution_from_name
 from .errors import DomainError, check_int, check_name
 from .estimators import BENCHMARKS, estimate_replicates
 from .sampling import sample_size, spawn_seed, uniforms
@@ -69,7 +69,9 @@ class ExperimentConfig:
     importance study.  m, layers, replicates and ell are integers >= 1 and
     the seed an integer >= 0, stored as Python ints (layers and ell as
     tuples; one lag may be given bare); the experiment, format and example
-    names are stored in lower case.  A bad field raises DomainError.
+    names are stored in lower case.  ``qq_export`` builds its distribution
+    once to check dist and params (kept as given, in a tuple).  A bad field
+    raises DomainError.
     """
 
     experiment: str
@@ -101,6 +103,9 @@ class ExperimentConfig:
             checked["replicates"] = check_int(self.replicates, "replicates")
         if experiment == "importance_study":
             checked["example"] = check_name(self.example, BENCHMARKS, "example")
+        if experiment == "qq_export":
+            distribution_from_name(self.dist, self.params)
+            checked["params"] = tuple(self.params)
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
@@ -116,10 +121,6 @@ class ExperimentResult:
 
     report: dict
     rows: list[dict] = field(default_factory=list)
-
-
-def _distribution(cfg: ExperimentConfig) -> Distribution:
-    return distribution_from_name(cfg.dist, cfg.params)
 
 
 def _method_list(cfg: ExperimentConfig) -> list[str]:
@@ -209,7 +210,7 @@ def run_qq_export(cfg: ExperimentConfig) -> ExperimentResult:
     IID rows use Q(k/(m+1)); QS and LQS rows use Q((k - 1/2)/m), the expected
     order statistics under each scheme.
     """
-    dist = _distribution(cfg)
+    dist = distribution_from_name(cfg.dist, cfg.params)
     reps = cfg.resolved_replicates()
     m = cfg.m
     p_iid = np.array([theory.quantile_targets(m, k)[0] for k in range(1, m + 1)])
@@ -442,10 +443,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     unknown = set(mapping) - known
     if unknown:
         raise DomainError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(mapping)
-    if kwargs.get("params") is not None:
-        kwargs["params"] = tuple(kwargs["params"])
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**mapping)
 
 
 def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:

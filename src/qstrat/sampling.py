@@ -178,7 +178,7 @@ def srswor_perm(m: int, rng: np.random.Generator) -> np.ndarray:
 
 def iid_uniform_batches(m: int, reps: int, rng: np.random.Generator):
     """IID uniforms of shape (reps, m) and their block indices ceil(m*U)."""
-    m = check_int(m, "sample size m")
+    m, reps = check_int(m, "sample size m"), check_int(reps, "replicates")
     u = _open_uniform(rng, (reps, m))
     blocks = np.ceil(m * u).astype(np.int64)
     return u, blocks
@@ -191,7 +191,7 @@ def qs_uniform_batches(m: int, reps: int, rng: np.random.Generator):
     U_i = (sigma_i - r_i) / m with r_i in [0, 1), which lands U_i in the
     half-open block ((sigma_i - 1)/m, sigma_i/m].
     """
-    m = check_int(m, "sample size m")
+    m, reps = check_int(m, "sample size m"), check_int(reps, "replicates")
     perms = rng.permuted(np.tile(np.arange(1, m + 1), (reps, 1)), axis=1)
     r = rng.random((reps, m))
     u = (perms - r) / m
@@ -208,7 +208,7 @@ def lqs_uniform_batches(layers, reps: int, rng: np.random.Generator):
     layer each point came from.  The final within-row shuffle is a uniform
     permutation of all m positions.
     """
-    spec = _as_layers(layers)
+    spec, reps = _as_layers(layers), check_int(reps, "replicates")
     m = spec.total
     u_parts, b_parts, l_parts = [], [], []
     for k, mk in enumerate(spec.sizes, start=1):
@@ -230,9 +230,10 @@ def uniforms(method: str, size, reps: int, rng: np.random.Generator):
     """Uniforms of shape (reps, m) drawn by ``method``, with their block indices.
 
     ``size`` is the sample size m for "iid" and "qs", and the layer sizes
-    for "lqs".  Returns (uniforms, blocks, layer_index), where layer_index
-    is None except for LQS.  This is the one dispatch from a method name to
-    its batch generator; a single sample is the ``reps=1`` row.
+    for "lqs"; ``reps`` is an integer >= 1.  Returns (uniforms, blocks,
+    layer_index), where layer_index is None except for LQS.  This is the one
+    dispatch from a method name to its batch generator; a single sample is
+    the ``reps=1`` row.
     """
     if method == "lqs":
         return lqs_uniform_batches(size, reps, rng)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
+from .distributions import Beta, _elementwise
 from .errors import DomainError, PairUndefinedError, check_int, check_name
 from .sampling import _as_layers
 
@@ -206,7 +206,8 @@ class SpacingLaw:
 
     ``kind`` is "beta" with ``params`` (alpha, beta) for IID sampling, or
     "triangular" with ``params`` (lo, mode, hi) for QS sampling.  ``pdf`` and
-    ``cdf`` evaluate the law; ``mean`` and ``variance`` are its exact moments.
+    ``cdf`` evaluate the law as a ``Distribution`` does; ``mean`` and
+    ``variance`` are its exact moments.
     """
 
     kind: str
@@ -215,33 +216,29 @@ class SpacingLaw:
     variance: float
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
         if self.kind == "beta":
-            a, b = self.params
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xs = np.clip(x, np.finfo(float).tiny, 1.0 - 1e-17)
-                out = np.exp(
-                    (a - 1.0) * np.log(xs)
-                    + (b - 1.0) * np.log1p(-xs)
-                    - special.betaln(a, b)
-                )
-            return np.where((x > 0.0) & (x < 1.0), out, 0.0)
+            return Beta(*self.params).pdf(x)
         lo, mode, hi = self.params
-        up = (x - lo) / ((mode - lo) * (hi - lo)) * 2.0
-        down = (hi - x) / ((hi - mode) * (hi - lo)) * 2.0
-        out = np.where(x <= mode, up, down)
-        return np.where((x >= lo) & (x <= hi), out, 0.0)
+
+        def density(x):
+            up = (x - lo) / ((mode - lo) * (hi - lo)) * 2.0
+            down = (hi - x) / ((hi - mode) * (hi - lo)) * 2.0
+            return np.where((x >= lo) & (x <= hi), np.where(x <= mode, up, down), 0.0)
+
+        return _elementwise(density, x)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
         if self.kind == "beta":
-            a, b = self.params
-            return special.betainc(a, b, np.clip(x, 0.0, 1.0))
+            return Beta(*self.params).cdf(x)
         lo, mode, hi = self.params
-        xc = np.clip(x, lo, hi)
-        up = (xc - lo) ** 2 / ((mode - lo) * (hi - lo))
-        down = 1.0 - (hi - xc) ** 2 / ((hi - mode) * (hi - lo))
-        return np.where(xc <= mode, up, down)
+
+        def cumulative(x):
+            xc = np.clip(x, lo, hi)
+            up = (xc - lo) ** 2 / ((mode - lo) * (hi - lo))
+            down = 1.0 - (hi - xc) ** 2 / ((hi - mode) * (hi - lo))
+            return np.where(xc <= mode, up, down)
+
+        return _elementwise(cumulative, x)
 
 
 def spacing_law(m: int, ell: int, method: str) -> SpacingLaw:

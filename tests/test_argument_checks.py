@@ -33,10 +33,12 @@ from qstrat.experiments import (
 )
 from qstrat.sampling import (
     iid_uniform_batches,
+    lqs_uniform_batches,
     qs_uniform_batches,
     sample_qs,
     spawn_seed,
     srswor_perm,
+    uniforms,
 )
 from qstrat.theory import (
     mse_asymptotic,
@@ -76,6 +78,10 @@ ENTRY_POINTS = {
     "conditional_quantile s": (lambda v: conditional_quantile(Uniform01(), 12, v, 0.5), 4),
     "iid_uniform_batches m": (lambda v: iid_uniform_batches(v, 3, _rng()), 4),
     "qs_uniform_batches m": (lambda v: qs_uniform_batches(v, 3, _rng()), 4),
+    "iid_uniform_batches reps": (lambda v: iid_uniform_batches(5, v, _rng()), 4),
+    "qs_uniform_batches reps": (lambda v: qs_uniform_batches(5, v, _rng()), 4),
+    "lqs_uniform_batches reps": (lambda v: lqs_uniform_batches((2, 3), v, _rng()), 4),
+    "uniforms reps": (lambda v: uniforms("qs", 5, v, _rng()), 4),
     "srswor_perm m": (lambda v: srswor_perm(v, _rng()), 4),
     "estimate_replicates replicates": (
         lambda v: estimate_replicates(PROB, 10, "qs", v, seed=1).estimates, 4),
@@ -187,6 +193,15 @@ class TestConfigIsNormalisedWhenBuilt:
         assert ExperimentConfig("spacing_check", m=12, ell=np.int64(3)).ell == (3,)
         with pytest.raises(DomainError, match="spacing lag must be an integer, got None"):
             ExperimentConfig("spacing_check", ell=None)
+
+    def test_qq_export_params_are_checked_and_kept_as_given(self):
+        cfg = ExperimentConfig("qq_export", dist="gamma", params=[2, 5], m=4, replicates=2)
+        assert cfg.params == (2, 5) and all(type(v) is int for v in cfg.params)
+        assert '"params": [\n    2,\n    5\n  ]' in report_to_json(run_experiment(cfg))
+        for dist, params in (("normal", ["x", 1]), ("gamma", None), ("beta", (1,)),
+                             ("cauchy", ())):
+            with pytest.raises(DomainError):
+                ExperimentConfig("qq_export", dist=dist, params=params)
 
     def test_bad_seed_fails_at_construction(self):
         with pytest.raises(DomainError, match="seed must be >= 0"):

@@ -134,6 +134,14 @@ class TestExperimentCommand:
         code, _, err = run_cli(capsys, "experiment", "--config", str(config))
         assert code == 1 and "wat" in err
 
+    def test_non_numeric_config_params_exit_one(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"experiment": "qq_export", "dist": "normal",
+                                      "params": ["x", 1]}))
+        code, _, err = run_cli(capsys, "experiment", "--config", str(config))
+        assert code == 1
+        assert "normal parameters must be numbers" in err
+
     def test_missing_name_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "experiment")
         assert code == 1 and "--name" in err
