@@ -26,6 +26,7 @@ from .experiments import (
     DEFAULT_SEED,
     EXPERIMENTS,
     ExperimentConfig,
+    Table,
     apply_overrides,
     config_from_mapping,
     render_artifact,
@@ -100,18 +101,15 @@ def _cmd_sample(args) -> int:
             payload["layer_index"] = batch.layer_index.tolist()
         _write_output(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        rows = []
-        for i in range(batch.m):
-            row = {
-                "index": i + 1,
-                "block": int(batch.blocks[i]),
-                "uniform": float(batch.uniforms[i]),
-                "value": float(batch.values[i]),
-            }
-            if batch.layer_index is not None:
-                row["layer"] = int(batch.layer_index[i])
-            rows.append(row)
-        _write_output(rows_to_csv(rows), args.out)
+        columns = {
+            "index": list(range(1, batch.m + 1)),
+            "block": batch.blocks.tolist(),
+            "uniform": batch.uniforms.tolist(),
+            "value": batch.values.tolist(),
+        }
+        if batch.layer_index is not None:
+            columns["layer"] = batch.layer_index.tolist()
+        _write_output(rows_to_csv(Table(columns)), args.out)
     return 0
 
 

@@ -345,7 +345,8 @@ class Custom(Distribution):
     """Distribution defined by user-supplied callables.
 
     Only a quantile function is required (enough for inverse-transform
-    sampling); density and CDF callables are optional and a DomainError is
+    sampling); density and CDF callables are optional.  The density comes
+    from ``pdf`` or, failing that, from ``exp(logpdf)``; a DomainError is
     raised if a missing piece is requested.
     """
 
@@ -360,9 +361,11 @@ class Custom(Distribution):
         self.support = (float(support[0]), float(support[1]))
 
     def _pdf(self, x):
-        if self._user_pdf is None:
+        if self._user_pdf is not None:
+            return self._user_pdf(x)
+        if self._user_logpdf is None:
             raise DomainError("custom distribution has no density function")
-        return self._user_pdf(x)
+        return super()._pdf(x)
 
     def _logpdf(self, x):
         if self._user_logpdf is None:
@@ -429,7 +432,7 @@ def conditional_quantile(dist: Distribution, m: int, s: int, p):
     m, s = _check_block_index(m, s)
 
     def inverse(p_arr):
-        if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
+        if not np.all((p_arr >= 0.0) & (p_arr <= 1.0)):  # NaN fails too
             raise DomainError(f"conditional quantile probability outside [0, 1]: {p!r}")
         return dist.quantile((s + p_arr - 1.0) / m)
 
@@ -459,6 +462,8 @@ def distribution_from_name(name: str, params=()) -> Distribution:
     in order.
     """
     key = check_name(name, (*_BUILDERS, "discrete"), "distribution")
+    if isinstance(params, (str, bytes, bytearray)):
+        raise DomainError(f"{key} parameters must be a list of numbers, got {params!r}")
     try:
         params = tuple(float(v) for v in params)
     except (TypeError, ValueError):

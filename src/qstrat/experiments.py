@@ -14,7 +14,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Iterable
+import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from .sampling import sample_size, spawn_seed, uniforms
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
+    "Table",
     "DEFAULT_SEED",
     "EXPERIMENTS",
     "run_experiment",
@@ -115,12 +117,62 @@ class ExperimentConfig:
         return DEFAULT_REPLICATES[self.experiment]
 
 
+class Table(Sequence):
+    """Read-only sequence of row dicts backed by equal-length columns.
+
+    ``columns`` maps each column name (a string) to a list of its values,
+    in header order.  ``table[i]`` is row i as a fresh dict, a slice is a
+    Table of those rows, and iteration yields every row in turn.
+    """
+
+    __slots__ = ("columns", "_n")
+
+    def __init__(self, columns: dict[str, list] | None = None):
+        columns = dict(columns or {})
+        if not all(isinstance(name, str) for name in columns):
+            raise DomainError(f"column names must be strings, got {list(columns)}")
+        lengths = {len(values) for values in columns.values()}
+        if len(lengths) > 1:
+            raise DomainError(f"columns must have equal lengths, got {sorted(lengths)}")
+        self.columns = columns
+        self._n = lengths.pop() if lengths else 0
+
+    @classmethod
+    def from_rows(cls, rows) -> Table:
+        """Columns of a list of dicts, with the header from the first row."""
+        rows = list(rows)
+        header = rows[0] if rows else {}
+        return cls({name: [row[name] for row in rows] for name in header})
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Table({name: values[index] for name, values in self.columns.items()})
+        i = range(self._n)[index]
+        return {name: values[i] for name, values in self.columns.items()}
+
+    def __iter__(self):
+        names = list(self.columns)
+        for values in zip(*self.columns.values()):
+            yield dict(zip(names, values))
+
+
 @dataclass
 class ExperimentResult:
-    """Report dictionary plus the flat row table backing the CSV artifact."""
+    """Report dictionary plus the row table backing the CSV artifact.
+
+    ``rows`` is always a :class:`Table`; a list of row dicts given here is
+    turned into one.
+    """
 
     report: dict
-    rows: list[dict] = field(default_factory=list)
+    rows: Table = field(default_factory=Table)
+
+    def __post_init__(self):
+        if not isinstance(self.rows, Table):
+            self.rows = Table.from_rows(self.rows)
 
 
 def _method_list(cfg: ExperimentConfig) -> list[str]:
@@ -215,7 +267,9 @@ def run_qq_export(cfg: ExperimentConfig) -> ExperimentResult:
     m = cfg.m
     p_iid = np.array([theory.quantile_targets(m, k)[0] for k in range(1, m + 1)])
     p_qs = np.array([theory.quantile_targets(m, k)[1] for k in range(1, m + 1)])
-    rows = []
+    names = ("method", "replicate", "k", "theoretical_quantile", "sample_order_stat")
+    columns = {name: [] for name in names}
+    replicates = np.repeat(np.arange(1, reps + 1), m).tolist()
     for method in _method_list(cfg):
         u = _uniform_batches(method, cfg, reps)
         if method == "qs":
@@ -225,17 +279,12 @@ def run_qq_export(cfg: ExperimentConfig) -> ExperimentResult:
                 raise AssertionError("QS block coverage violated")
         targets = dist.quantile(p_iid if method == "iid" else p_qs)
         values = np.sort(dist.quantile(u), axis=1)
-        for r in range(reps):
-            for k in range(m):
-                rows.append(
-                    {
-                        "method": method,
-                        "replicate": r + 1,
-                        "k": k + 1,
-                        "theoretical_quantile": float(targets[k]),
-                        "sample_order_stat": float(values[r, k]),
-                    }
-                )
+        columns["method"] += [method] * (reps * m)
+        columns["replicate"] += replicates
+        columns["k"] += list(range(1, m + 1)) * reps
+        columns["theoretical_quantile"] += np.tile(targets, reps).tolist()
+        columns["sample_order_stat"] += values.ravel().tolist()
+    rows = Table(columns)
     report = {
         "experiment": "qq_export",
         "dist": cfg.dist,
@@ -351,7 +400,7 @@ def run_importance_study(cfg: ExperimentConfig) -> ExperimentResult:
     """
     prob = BENCHMARKS[cfg.example]()
     reps = cfg.resolved_replicates()
-    rows = []
+    columns = {"method": [], "replicate": [], "estimate": []}
     summary = {}
     for method in _method_list(cfg):
         study = estimate_replicates(
@@ -362,8 +411,9 @@ def run_importance_study(cfg: ExperimentConfig) -> ExperimentResult:
             seed=spawn_seed(cfg.seed, _METHOD_STREAM[method]),
             layers=cfg.layers if method == "lqs" else None,
         )
-        for r, est in enumerate(study.estimates, start=1):
-            rows.append({"method": method, "replicate": r, "estimate": float(est)})
+        columns["method"] += [method] * reps
+        columns["replicate"] += range(1, reps + 1)
+        columns["estimate"] += study.estimates.tolist()
         se_of_mean = study.std_err / np.sqrt(reps)
         summary[method] = {
             "mean": study.mean,
@@ -381,7 +431,7 @@ def run_importance_study(cfg: ExperimentConfig) -> ExperimentResult:
         "seed": cfg.seed,
         "methods": summary,
     }
-    return ExperimentResult(report, rows)
+    return ExperimentResult(report, Table(columns))
 
 
 EXPERIMENTS = {
@@ -410,25 +460,87 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def rows_to_csv(rows: list[dict]) -> str:
+def _format_floats(values: list, fmt) -> list[str]:
+    """``fmt(v)`` for each float v, computed once per distinct nonzero value
+    when values repeat (a tiled column).  Equal nonzero floats have the same
+    bits; 0.0 == -0.0 do not, so zeros are formatted one by one."""
+    distinct = set(values)
+    if 2 * len(distinct) > len(values):
+        return list(map(fmt, values))
+    text = {v: fmt(v) for v in distinct}
+    return [text[v] if v else fmt(v) for v in values]
+
+
+def _csv_column(values: list) -> list:
+    """Cells of one column as the csv module should write them: floats at 9
+    significant digits, bools in lower case, anything else as ``str``."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return _format_floats(values, "%.9g".__mod__)
+    if kinds <= {int, str}:
+        return values  # the csv module writes these with str()
+    return [_format_cell(v) for v in values]
+
+
+def rows_to_csv(rows: Table | list[dict]) -> str:
     """Render rows as CSV: header from the first row, floats at 9 significant
     digits, '\n' line endings.  Byte-stable for identical inputs."""
-    if not rows:
+    table = rows if isinstance(rows, Table) else Table.from_rows(rows)
+    if not table:
         return ""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = list(rows[0].keys())
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_format_cell(row[col]) for col in header])
+    writer.writerow(table.columns)
+    writer.writerows(zip(*map(_csv_column, table.columns.values())))
     return buf.getvalue()
 
 
+# Indentation of a row's fields in the JSON artifact: rows sit two levels
+# below the top-level object at indent=2.
+_FIELD_INDENT = "\n      "
+_EMPTY_ROWS = '\n  "rows": []'
+
+
+def _json_cell(value) -> str:
+    # A nested container is indented as it would be three levels deep.
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", _FIELD_INDENT)
+
+
+def _json_column(values: list) -> list[str]:
+    """Each value of one column as ``json.dumps`` writes it inside a row."""
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return _format_floats(values, float.__repr__)
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {str}:
+        return list(map(json.encoder.encode_basestring_ascii, values))
+    return [_json_cell(v) for v in values]
+
+
 def report_to_json(result: ExperimentResult, include_rows: bool = True) -> str:
+    """Render the report, with its rows under "rows" unless ``include_rows``
+    is false, as ``json.dumps(..., indent=2, sort_keys=True)`` would."""
     payload = dict(result.report)
     if include_rows:
-        payload["rows"] = result.rows
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        payload["rows"] = []
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    table = result.rows
+    if not (include_rows and table):
+        return text
+    # The report is rendered with empty rows; the rows go inside its
+    # brackets, each from one template over the sorted column names.
+    names = sorted(table.columns)
+    fields = ",".join(_FIELD_INDENT + json.dumps(name).replace("%", "%%") + ": %s"
+                      for name in names)
+    template = "\n    {" + fields + "\n    }"
+    cells = zip(*(_json_column(table.columns[name]) for name in names))
+    rows = [template % row for row in cells]
+    # Join once, with the text around the rows stuck to the first and last.
+    cut = text.index(_EMPTY_ROWS) + len(_EMPTY_ROWS) - 1
+    rows[0] = text[:cut] + rows[0]
+    rows[-1] += "\n  " + text[cut:]
+    return ",".join(rows)
 
 
 def render_artifact(result: ExperimentResult, fmt: str) -> str:

@@ -142,6 +142,14 @@ class TestExperimentCommand:
         assert code == 1
         assert "normal parameters must be numbers" in err
 
+    def test_string_config_params_exit_one(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"experiment": "qq_export", "dist": "normal",
+                                      "params": "12"}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(config))
+        assert code == 1 and out == ""
+        assert "normal parameters must be a list of numbers, got '12'" in err
+
     def test_missing_name_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "experiment")
         assert code == 1 and "--name" in err

@@ -25,6 +25,7 @@ from qstrat.distributions import (
     distribution_from_name,
 )
 from qstrat.errors import DomainError
+from qstrat.experiments import ExperimentConfig
 from qstrat.sampling import sample_qs
 
 
@@ -374,6 +375,14 @@ class TestConditionalLaws:
         assert val == pytest.approx(1.0, abs=1e-9)
         assert conditional_pdf(Beta(2, 2), 4, 2, w[1] / 2) == 0.0
 
+    def test_conditional_quantile_rejects_nan(self):
+        for p in (float("nan"), np.array([0.5, np.nan])):
+            with pytest.raises(DomainError) as info:
+                conditional_quantile(Normal(), 4, 2, p)
+            assert str(info.value) == (
+                f"conditional quantile probability outside [0, 1]: {p!r}"
+            )
+
     def test_block_index_validation(self):
         with pytest.raises(DomainError):
             conditional_cdf(Uniform01(), 4, 0, 0.5)
@@ -389,6 +398,22 @@ class TestCustomAndFactory:
             tri.pdf(0.5)
         with pytest.raises(DomainError):
             tri.cdf(0.5)
+
+    def test_custom_density_from_logpdf(self):
+        tri = Custom(quantile=np.sqrt, logpdf=lambda x: np.log(2 * x))
+        assert tri.pdf(0.5) == 1.0
+        np.testing.assert_allclose(tri.pdf(np.array([0.25, 0.75])), [0.5, 1.5], rtol=1e-15)
+        with pytest.raises(DomainError, match="no density function"):
+            Custom(quantile=np.sqrt).pdf(0.5)
+        with pytest.raises(DomainError, match="no density function"):
+            Custom(quantile=np.sqrt).logpdf(0.5)
+
+    def test_factory_rejects_string_params(self):
+        for params in ("12", b"12", ""):
+            with pytest.raises(DomainError, match="must be a list of numbers"):
+                distribution_from_name("normal", params)
+            with pytest.raises(DomainError, match="must be a list of numbers"):
+                ExperimentConfig("qq_export", dist="normal", params=params)
 
     def test_custom_full(self):
         tri = Custom(

@@ -1,16 +1,27 @@
 """Experiment harness: reports, artifact tables, determinism and the
 stratification-ordering property of sorted uniforms."""
 
+import csv
+import io
 import json
+import math
+import struct
 import subprocess
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qstrat.cli import main
+from qstrat.distributions import distribution_from_name
 from qstrat.errors import DomainError
 from qstrat.experiments import (
     ExperimentConfig,
+    ExperimentResult,
+    Table,
     config_from_mapping,
     render_artifact,
     report_to_json,
@@ -22,7 +33,7 @@ from qstrat.experiments import (
     run_qq_export,
     run_spacing_check,
 )
-from qstrat.sampling import iid_uniform_batches, lqs_uniform_batches, qs_uniform_batches
+from qstrat.sampling import iid_uniform_batches, lqs_uniform_batches, qs_uniform_batches, sample
 from qstrat.theory import quantile_targets
 
 
@@ -246,3 +257,256 @@ def test_import_leaves_scipy_stats_unloaded():
                        timeout=120)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# Columnar rows and their renderers
+# ---------------------------------------------------------------------------
+
+# The dict-based renderers the columnar ones replaced, kept as the reference
+# the artifacts must match byte for byte.
+
+def _reference_cell(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format(value, ".9g")
+    return str(value)
+
+
+def _reference_csv(rows: list[dict]) -> str:
+    if not rows:
+        return ""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = list(rows[0].keys())
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_reference_cell(row[col]) for col in header])
+    return buf.getvalue()
+
+
+def _reference_json(report: dict, rows: list[dict], include_rows: bool = True) -> str:
+    payload = dict(report)
+    if include_rows:
+        payload["rows"] = rows
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+SMALL_RUNS = {
+    "moment_check": cfg(experiment="moment_check", m=5, layers=(3, 2), replicates=200,
+                        seed=21),
+    "qq_export_gamma": cfg(experiment="qq_export", dist="gamma", params=(2, 5), m=6,
+                           layers=(4, 2), replicates=3, seed=22),
+    "qq_export_normal": cfg(experiment="qq_export", dist="normal", params=(0.0, 1.0), m=5,
+                            replicates=2, seed=23),
+    "mse_grid": cfg(experiment="mse_grid", m=4),
+    "spacing_check": cfg(experiment="spacing_check", m=6, ell=(1, 2), replicates=300,
+                         seed=24),
+    "importance_study_a": cfg(experiment="importance_study", example="a", m=8,
+                              layers=(5, 3), replicates=5, seed=25),
+    "importance_study_b": cfg(experiment="importance_study", example="b", m=8,
+                              replicates=5, seed=26),
+}
+
+NAN = float("nan")
+# Every kind of cell the renderers treat apart, in columns of 8 rows.
+ODD_COLUMNS = {
+    "float": [0.0, -0.0, 5e-324, -1e-310, math.inf, -math.inf, NAN, 0.1],
+    "zeros": [0.0, -0.0] * 4,
+    "tiled": [0.1, -2.5e-300, 1e300, 3.0] * 2,
+    "tiled_special": [math.inf, -math.inf, float("nan"), float("nan")] * 2,
+    "int": [0, -1, 2 ** 70, 7, 1, 0, 3, 10 ** 20],
+    "bool": [True, False] * 4,
+    "mixed": [None, True, 1, 1.0, "x", -0.0, NAN, 2 ** 64],
+    "optional": [None, 3, "x", None, 1, "", None, 2],
+    "text": ["plain", "a,b", 'say "hi"', "line\nbreak", "naïve", "日本語", "tab\t", ""],
+    "np_float": [np.float64(v) for v in (0.5, -0.0, 1e-320, 2.0, 0.5, 7.25, -1.0, 0.0)],
+    "nested": [[1, 2.5], {"b": 1, "a": [0.5, None]}, [], {}, [[]], "s", None, [NAN]],
+    'quo"te%s': list(range(8)),
+    "ключ": [1.5] * 8,
+}
+
+
+def _odd_result(columns=ODD_COLUMNS) -> ExperimentResult:
+    report = {"experiment": "hand_made", "label": "é \"q\"", "values": [1, 2.5],
+              "nested": {"rows": [], "x": None}}
+    return ExperimentResult(report, Table(columns))
+
+
+class TestRenderersMatchReference:
+    @pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+    def test_experiment_artifacts(self, name):
+        result = run_experiment(SMALL_RUNS[name])
+        rows = list(result.rows)
+        assert rows_to_csv(result.rows) == _reference_csv(rows)
+        assert rows_to_csv(rows) == _reference_csv(rows)
+        assert report_to_json(result) == _reference_json(result.report, rows)
+        assert report_to_json(result, include_rows=False) == _reference_json(
+            result.report, rows, include_rows=False
+        )
+
+    @pytest.mark.parametrize("method,size", [("iid", ("--m", "9")), ("qs", ("--m", "9")),
+                                             ("lqs", ("--layers", "2,3,4"))])
+    def test_sample_csv(self, capsys, method, size):
+        assert main(["sample", "--dist", "normal", "--params", "1,2", "--method", method,
+                     *size, "--seed", "31"]) == 0
+        out = capsys.readouterr().out
+        layers = (2, 3, 4) if method == "lqs" else None
+        batch = sample(distribution_from_name("normal", (1, 2)), method,
+                       None if layers else 9, seed=31, layers=layers)
+        rows = []
+        for i in range(batch.m):
+            row = {"index": i + 1, "block": int(batch.blocks[i]),
+                   "uniform": float(batch.uniforms[i]), "value": float(batch.values[i])}
+            if batch.layer_index is not None:
+                row["layer"] = int(batch.layer_index[i])
+            rows.append(row)
+        assert out == _reference_csv(rows)
+
+    def test_hand_made_table(self):
+        result = _odd_result()
+        rows = list(result.rows)
+        assert rows_to_csv(result.rows) == _reference_csv(rows)
+        assert report_to_json(result) == _reference_json(result.report, rows)
+        assert report_to_json(result, include_rows=False) == _reference_json(
+            result.report, rows, include_rows=False
+        )
+        # The same rows given as a list of dicts.
+        from_list = ExperimentResult(result.report, rows)
+        assert report_to_json(from_list) == report_to_json(result)
+        assert rows_to_csv(rows) == rows_to_csv(result.rows)
+
+    def test_each_odd_column_alone(self):
+        for name, values in ODD_COLUMNS.items():
+            result = _odd_result({name: values})
+            rows = list(result.rows)
+            assert rows_to_csv(result.rows) == _reference_csv(rows), name
+            assert report_to_json(result) == _reference_json(result.report, rows), name
+
+    @pytest.mark.parametrize("table", [Table(), Table({"a": [], "b": []})])
+    def test_empty_table(self, table):
+        result = ExperimentResult({"experiment": "empty", "n_rows": 0}, table)
+        assert rows_to_csv(table) == "" == rows_to_csv([])
+        assert report_to_json(result) == _reference_json(result.report, [])
+        assert report_to_json(result, include_rows=False) == _reference_json(
+            result.report, [], include_rows=False
+        )
+
+
+def _float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@settings(derandomize=True, max_examples=3000, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1).map(_float_from_bits))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(2.2250738585072009e-308)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(1.7976931348623157e308)
+@example(0.1)
+def test_percent_format_matches_format_spec(x):
+    # The CSV renderer formats float columns with '%.9g' %; the artifacts
+    # were defined by format(x, '.9g').
+    assert "%.9g" % x == format(x, ".9g")
+
+
+class TestTable:
+    def table(self):
+        return Table({"a": [1, 2, 3], "b": ["x", "y", "z"]})
+
+    def test_length_indexing_and_iteration(self):
+        t = self.table()
+        assert isinstance(t, Sequence) and len(t) == 3
+        assert t[0] == {"a": 1, "b": "x"}
+        assert t[-1] == {"a": 3, "b": "z"} and t[-3] == t[0]
+        assert list(t) == [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}, {"a": 3, "b": "z"}]
+        assert {"a": 2, "b": "y"} in t and t.index({"a": 3, "b": "z"}) == 2
+        assert list(t.columns) == ["a", "b"]
+
+    def test_index_past_either_end(self):
+        t = self.table()
+        for index in (3, 4, -4):
+            with pytest.raises(IndexError):
+                t[index]
+        with pytest.raises(IndexError):
+            Table()[0]
+
+    def test_slices_are_tables(self):
+        t = self.table()
+        tail = t[1:]
+        assert isinstance(tail, Table) and len(tail) == 2
+        assert list(tail) == list(t)[1:]
+        assert list(t[::-1]) == list(t)[::-1]
+        assert len(t[5:]) == 0
+
+    def test_rows_are_fresh_dicts(self):
+        t = self.table()
+        row = t[0]
+        row["a"] = 99
+        assert t[0] == {"a": 1, "b": "x"}
+
+    def test_from_rows_takes_the_first_rows_header(self):
+        t = Table.from_rows([{"b": 1, "a": 2}, {"a": 3, "b": 4, "c": 5}])
+        assert list(t.columns) == ["b", "a"] and t.columns["a"] == [2, 3]
+        assert len(Table.from_rows([])) == 0
+
+    def test_bad_columns_rejected(self):
+        with pytest.raises(DomainError, match="equal lengths"):
+            Table({"a": [1, 2], "b": [1]})
+        with pytest.raises(DomainError, match="strings"):
+            Table({1: [1]})
+
+    def test_result_rows_are_always_a_table(self):
+        assert isinstance(ExperimentResult({}).rows, Table)
+        result = ExperimentResult({}, [{"a": 1}, {"a": 2}])
+        assert isinstance(result.rows, Table) and result.rows.columns == {"a": [1, 2]}
+        for name in ("moment_check", "mse_grid", "spacing_check", "qq_export_normal",
+                     "importance_study_a"):
+            assert isinstance(run_experiment(SMALL_RUNS[name]).rows, Table)
+
+
+class TestRowsMatchDictRows:
+    """Rows of the columnar experiments against the row dicts the per-row
+    loops built, at fixed seeds."""
+
+    def test_qq_export(self):
+        rows = run_experiment(cfg(experiment="qq_export", dist="gamma", params=(2, 5), m=4,
+                                  layers=(3, 1), replicates=2, seed=11)).rows
+        assert len(rows) == 24
+        assert rows[0] == {"method": "iid", "replicate": 1, "k": 1,
+                           "theoretical_quantile": 0.1648776618065969,
+                           "sample_order_stat": 0.18115293027952725}
+        assert rows[13] == {"method": "qs", "replicate": 2, "k": 2,
+                            "theoretical_quantile": 0.261029780814719,
+                            "sample_order_stat": 0.31805349303214697}
+        assert rows[23] == {"method": "lqs", "replicate": 2, "k": 4,
+                            "theoretical_quantile": 0.7214047072940364,
+                            "sample_order_stat": 0.7857350180197689}
+        assert all(type(v) is int for v in rows.columns["k"] + rows.columns["replicate"])
+
+    def test_importance_study(self):
+        rows = run_experiment(cfg(experiment="importance_study", example="b", m=6,
+                                  layers=(4, 2), replicates=3, seed=12)).rows
+        assert len(rows) == 9
+        assert rows[0] == {"method": "iid", "replicate": 1, "estimate": 0.8555900217892036}
+        assert rows[4] == {"method": "qs", "replicate": 2, "estimate": 0.8402797905052434}
+        assert rows[8] == {"method": "lqs", "replicate": 3, "estimate": 0.8233210980124733}
+
+    def test_moment_check(self):
+        rows = run_experiment(cfg(experiment="moment_check", m=4, layers=(2, 2),
+                                  replicates=50, seed=13)).rows
+        assert len(rows) == 12
+        assert rows[5] == {"method": "qs", "statistic": "variance",
+                           "theory": 0.08333333333333333, "empirical": 0.08247096587469192,
+                           "std_error": 0.0028474114719045283, "z": -0.3028601475938424,
+                           "passed": True}
+        assert rows[11] == {"method": "lqs", "statistic": "pair_correlation", "theory": -0.25,
+                            "empirical": -0.23629945224317964,
+                            "std_error": 0.02628015565307041, "z": 0.5213267355674761,
+                            "passed": True}
