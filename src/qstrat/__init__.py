@@ -49,7 +49,6 @@ from .sampling import (
     sample_lqs,
     sample_qs,
     spawn_seed,
-    srswor_perm,
 )
 from .theory import (
     MomentSummary,
@@ -92,7 +91,6 @@ __all__ = [
     "sample_qs",
     "sample_lqs",
     "spawn_seed",
-    "srswor_perm",
     "MomentSummary",
     "SpacingLaw",
     "qs_uniform_moments",

@@ -53,6 +53,11 @@ def _elementwise(fn, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
+def _nan_at_nan(fn):
+    """``fn`` on a float64 array, with NaN wherever the array is NaN."""
+    return lambda x: np.where(np.isnan(x), np.nan, fn(x))
+
+
 def _tail_quantile(p, a, log_c, cut, inverse, rate=1.0):
     """t / rate with F(t) = p, where F(t) = t^a / c * (1 + O(t)) near t = 0.
 
@@ -82,7 +87,8 @@ class Distribution:
     """Base class: a univariate law with pdf, cdf and quantile function.
 
     ``pdf``, ``logpdf``, ``cdf`` and ``quantile`` take a float or an array
-    and return a float64 array of its shape, or a float for scalar input.
+    and return a float64 array of its shape, or a float for scalar input;
+    ``pdf`` and ``logpdf`` are NaN at a NaN x.
     Subclasses set ``name``, ``support`` and implement hooks on float64
     arrays: ``_cdf``, ``_quantile_inner`` (quantile for p strictly inside
     (0, 1)) and ``_pdf`` or ``_logpdf`` (each defaults to the other).
@@ -92,10 +98,10 @@ class Distribution:
     support: tuple[float, float] = (-np.inf, np.inf)
 
     def pdf(self, x):
-        return _elementwise(self._pdf, x)
+        return _elementwise(_nan_at_nan(self._pdf), x)
 
     def logpdf(self, x):
-        return _elementwise(self._logpdf, x)
+        return _elementwise(_nan_at_nan(self._logpdf), x)
 
     def cdf(self, x):
         return _elementwise(self._cdf, x)
@@ -203,7 +209,7 @@ class Beta(Distribution):
 
     def __init__(self, a: float, b: float):
         if not (a > 0.0 and b > 0.0 and np.isfinite(a) and np.isfinite(b)):
-            raise DomainError(f"beta requires a > 0 and b > 0, got {a}, {b}")
+            raise DomainError(f"beta requires finite a > 0 and b > 0, got {a}, {b}")
         self.a = float(a)
         self.b = float(b)
         self._log_norm = special.betaln(self.a, self.b)
@@ -261,7 +267,8 @@ class Gamma(Distribution):
 
     def __init__(self, shape: float, rate: float):
         if not (shape > 0.0 and rate > 0.0 and np.isfinite(shape) and np.isfinite(rate)):
-            raise DomainError(f"gamma requires shape > 0 and rate > 0, got {shape}, {rate}")
+            raise DomainError(
+                f"gamma requires finite shape > 0 and rate > 0, got {shape}, {rate}")
         self.shape = float(shape)
         self.rate = float(rate)
         self._log_norm = self.shape * math.log(self.rate) - special.gammaln(self.shape)
@@ -409,11 +416,11 @@ def block_boundaries(dist: Distribution, m: int) -> BlockPartition:
 
 def conditional_pdf(dist: Distribution, m: int, s: int, x):
     """Density of a value drawn from block ``s`` of the ``m``-block partition:
-    m * f(x) on (w_{s-1}, w_s], zero elsewhere."""
+    m * f(x) on (w_{s-1}, w_s], zero elsewhere, and NaN at a NaN x."""
     m, s = _check_block_index(m, s)
     w = block_boundaries(dist, m).boundaries
-    return _elementwise(
-        lambda x: np.where((x > w[s - 1]) & (x <= w[s]), m * dist.pdf(x), 0.0), x)
+    return _elementwise(_nan_at_nan(
+        lambda x: np.where((x > w[s - 1]) & (x <= w[s]), m * dist.pdf(x), 0.0)), x)
 
 
 def conditional_cdf(dist: Distribution, m: int, s: int, x):

@@ -17,6 +17,7 @@ import json
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice
 
 import numpy as np
 
@@ -265,8 +266,7 @@ def run_qq_export(cfg: ExperimentConfig) -> ExperimentResult:
     dist = distribution_from_name(cfg.dist, cfg.params)
     reps = cfg.resolved_replicates()
     m = cfg.m
-    p_iid = np.array([theory.quantile_targets(m, k)[0] for k in range(1, m + 1)])
-    p_qs = np.array([theory.quantile_targets(m, k)[1] for k in range(1, m + 1)])
+    p_iid, p_qs = theory._quantile_target_arrays(m)
     names = ("method", "replicate", "k", "theoretical_quantile", "sample_order_stat")
     columns = {name: [] for name in names}
     replicates = np.repeat(np.arange(1, reps + 1), m).tolist()
@@ -452,6 +452,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 # Artifact serialization
 # ---------------------------------------------------------------------------
 
+# Rows are formatted this many at a time, through one % template per block.
+_BLOCK_ROWS = 256
+# Indentation of a row's fields in the JSON artifact: rows sit two levels
+# below the top-level object at indent=2.
+_FIELD_INDENT = "\n      "
+_EMPTY_ROWS = '\n  "rows": []'
+
+
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
@@ -460,26 +468,88 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _format_floats(values: list, fmt) -> list[str]:
+def _json_cell(value) -> str:
+    # A nested container is indented as it would be three levels deep.
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", _FIELD_INDENT)
+
+
+def _format_floats(values: list, fmt) -> Iterable[str]:
     """``fmt(v)`` for each float v, computed once per distinct nonzero value
-    when values repeat (a tiled column).  Equal nonzero floats have the same
-    bits; 0.0 == -0.0 do not, so zeros are formatted one by one."""
-    distinct = set(values)
-    if 2 * len(distinct) > len(values):
-        return list(map(fmt, values))
-    text = {v: fmt(v) for v in distinct}
-    return [text[v] if v else fmt(v) for v in values]
+    of a tiled column.  Equal nonzero floats have the same bits; 0.0 == -0.0
+    do not, so zeros are formatted one by one."""
+    text = {v: fmt(v) for v in set(values)}
+    if 0.0 in text:
+        return [text[v] if v else fmt(v) for v in values]
+    return map(text.__getitem__, values)
 
 
-def _csv_column(values: list) -> list:
-    """Cells of one column as the csv module should write them: floats at 9
-    significant digits, bools in lower case, anything else as ``str``."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return _format_floats(values, "%.9g".__mod__)
-    if kinds <= {int, str}:
-        return values  # the csv module writes these with str()
-    return [_format_cell(v) for v in values]
+def _csv_quoted(strings: list[str], lone: bool) -> list[str]:
+    """The cells as the csv module writes them, quoting each distinct value
+    once.  In a table of one (``lone``) column csv writes an empty cell as
+    ``""``, so that the row is not blank; elsewhere it writes nothing."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    quoted = {}
+    for value in set(strings):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((value,))
+        quoted[value] = buf.getvalue()[:-1]
+    if "" in quoted and not lone:
+        quoted[""] = ""
+    if all(value == text for value, text in quoted.items()):
+        return strings
+    return [quoted[value] for value in strings]
+
+
+def _column_plan(table: Table, names: list[str], fmt: str) -> tuple[list[str], list]:
+    """The % conversion of each named column in a row template, and the
+    sequence of cells the template reads for it, as format ``fmt`` ("csv"
+    or "json") writes them.
+
+    The template formats ints (``%d``) and floats (``%.9g`` in CSV, ``%r``
+    in JSON) itself.  A float column where at least half the cells repeat
+    has each distinct value formatted once instead, and every other column
+    (strings, bools, None, mixed, nested, and NaN or inf in JSON) becomes
+    strings read with ``%s``.
+    """
+    conversions, cells = [], []
+    for name in names:
+        values = table.columns[name]
+        kinds = set(map(type, values))
+        if kinds == {int}:
+            conversion, column = "%d", values
+        elif kinds == {float} and (fmt == "csv" or all(map(math.isfinite, values))):
+            conversion, column = ("%.9g" if fmt == "csv" else "%r"), values
+            # np.unique counts the distinct values faster than a set.
+            if 2 * len(np.unique(values)) <= len(values):
+                conversion, column = "%s", _format_floats(values, conversion.__mod__)
+        elif fmt == "json" and kinds == {str}:
+            text = {v: json.encoder.encode_basestring_ascii(v) for v in set(values)}
+            conversion, column = "%s", map(text.__getitem__, values)
+        elif fmt == "json":
+            conversion, column = "%s", map(_json_cell, values)
+        else:
+            strings = values if kinds == {str} else list(map(_format_cell, values))
+            conversion, column = "%s", _csv_quoted(strings, len(names) == 1)
+        conversions.append(conversion)
+        cells.append(column)
+    return conversions, cells
+
+
+def _fill_rows(row: str, sep: str, cells: list, n: int) -> list[str]:
+    """The n rows, each ``row % cells``, separated by ``sep``, in blocks of
+    up to _BLOCK_ROWS rows formatted by one template each."""
+    rows = zip(*cells)
+    full = (sep + row) * _BLOCK_ROWS
+    blocks = []
+    for start in range(0, n, _BLOCK_ROWS):
+        size = min(_BLOCK_ROWS, n - start)
+        template = full if size == _BLOCK_ROWS else (sep + row) * size
+        if start == 0:
+            template = template[len(sep):]
+        blocks.append(template % tuple(chain.from_iterable(islice(rows, size))))
+    return blocks
 
 
 def rows_to_csv(rows: Table | list[dict]) -> str:
@@ -488,34 +558,12 @@ def rows_to_csv(rows: Table | list[dict]) -> str:
     table = rows if isinstance(rows, Table) else Table.from_rows(rows)
     if not table:
         return ""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.columns)
-    writer.writerows(zip(*map(_csv_column, table.columns.values())))
-    return buf.getvalue()
-
-
-# Indentation of a row's fields in the JSON artifact: rows sit two levels
-# below the top-level object at indent=2.
-_FIELD_INDENT = "\n      "
-_EMPTY_ROWS = '\n  "rows": []'
-
-
-def _json_cell(value) -> str:
-    # A nested container is indented as it would be three levels deep.
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", _FIELD_INDENT)
-
-
-def _json_column(values: list) -> list[str]:
-    """Each value of one column as ``json.dumps`` writes it inside a row."""
-    kinds = set(map(type, values))
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return _format_floats(values, float.__repr__)
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    if kinds == {str}:
-        return list(map(json.encoder.encode_basestring_ascii, values))
-    return [_json_cell(v) for v in values]
+    names = list(table.columns)
+    conversions, cells = _column_plan(table, names, "csv")
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(names)
+    body = _fill_rows(",".join(conversions) + "\n", "", cells, len(table))
+    return "".join([header.getvalue(), *body])
 
 
 def report_to_json(result: ExperimentResult, include_rows: bool = True) -> str:
@@ -529,18 +577,15 @@ def report_to_json(result: ExperimentResult, include_rows: bool = True) -> str:
     if not (include_rows and table):
         return text
     # The report is rendered with empty rows; the rows go inside its
-    # brackets, each from one template over the sorted column names.
+    # brackets, from one row template over the sorted column names (a "%"
+    # in a name is escaped), and are joined with the report text once.
     names = sorted(table.columns)
-    fields = ",".join(_FIELD_INDENT + json.dumps(name).replace("%", "%%") + ": %s"
-                      for name in names)
-    template = "\n    {" + fields + "\n    }"
-    cells = zip(*(_json_column(table.columns[name]) for name in names))
-    rows = [template % row for row in cells]
-    # Join once, with the text around the rows stuck to the first and last.
+    conversions, cells = _column_plan(table, names, "json")
+    fields = ",".join(_FIELD_INDENT + json.dumps(name).replace("%", "%%") + ": " + conversion
+                      for name, conversion in zip(names, conversions))
+    body = _fill_rows("\n    {" + fields + "\n    }", ",", cells, len(table))
     cut = text.index(_EMPTY_ROWS) + len(_EMPTY_ROWS) - 1
-    rows[0] = text[:cut] + rows[0]
-    rows[-1] += "\n  " + text[cut:]
-    return ",".join(rows)
+    return "".join([text[:cut], *body, "\n  ", text[cut:]])
 
 
 def render_artifact(result: ExperimentResult, fmt: str) -> str:

@@ -31,7 +31,6 @@ __all__ = [
     "LayerSpec",
     "SampleBatch",
     "spawn_seed",
-    "srswor_perm",
     "sample",
     "sample_size",
     "sample_iid",
@@ -163,13 +162,6 @@ class SampleBatch:
     @property
     def m(self) -> int:
         return self.uniforms.size
-
-
-def srswor_perm(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Simple random sample of all of {1, ..., m} without replacement,
-    i.e. a uniformly random permutation."""
-    m = check_int(m, "permutation size")
-    return rng.permutation(np.arange(1, m + 1))
 
 
 # ---------------------------------------------------------------------------

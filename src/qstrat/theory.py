@@ -116,6 +116,17 @@ def quantile_targets(m: int, k: int) -> tuple[float, float]:
     return float(pk), float(pk_star)
 
 
+def _quantile_target_arrays(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``quantile_targets(m, k)`` for k = 1..m, as two float64 arrays.
+
+    Numerators and denominators are integers below 2^53, exact in float64,
+    so one correctly rounded division gives the bits of the exact fraction.
+    """
+    m = check_int(m, "sample size m")
+    k = np.arange(1.0, m + 1)
+    return k / (m + 1), (2.0 * k - 1.0) / (2 * m)
+
+
 def order_stat_moments(m: int, k: int, method: str) -> tuple[float, float]:
     """Mean and variance of the k-th uniform order statistic.
 

@@ -37,7 +37,6 @@ from qstrat.sampling import (
     qs_uniform_batches,
     sample_qs,
     spawn_seed,
-    srswor_perm,
     uniforms,
 )
 from qstrat.theory import (
@@ -82,7 +81,6 @@ ENTRY_POINTS = {
     "qs_uniform_batches reps": (lambda v: qs_uniform_batches(5, v, _rng()), 4),
     "lqs_uniform_batches reps": (lambda v: lqs_uniform_batches((2, 3), v, _rng()), 4),
     "uniforms reps": (lambda v: uniforms("qs", 5, v, _rng()), 4),
-    "srswor_perm m": (lambda v: srswor_perm(v, _rng()), 4),
     "estimate_replicates replicates": (
         lambda v: estimate_replicates(PROB, 10, "qs", v, seed=1).estimates, 4),
     "ExperimentConfig replicates": (

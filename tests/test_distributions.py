@@ -448,3 +448,35 @@ class TestCustomAndFactory:
             Beta(0, 1)
         with pytest.raises(DomainError):
             Gamma(2, 0)
+
+    @pytest.mark.parametrize("build,args", [(Beta, (math.inf, 1)), (Beta, (1, math.inf)),
+                                            (Gamma, (math.inf, 1)), (Gamma, (2, math.inf))])
+    def test_infinite_parameters_are_named_in_the_message(self, build, args):
+        with pytest.raises(DomainError, match=r"requires finite .* got .*inf"):
+            build(*args)
+
+
+# One law of each family, with the density at 0.5 a finite number.
+NAN_LAWS = [
+    Uniform01(),
+    Normal(1, 2),
+    Beta(2, 2),
+    Beta(0.5, 1),
+    Gamma(2, 1),
+    Gamma(1, 3),
+    Discrete([0.0, 0.5, 1.0], [0.2, 0.5, 0.3]),
+    Custom(quantile=np.sqrt, pdf=lambda x: 2 * x, support=(0.0, 1.0)),
+    Custom(quantile=np.sqrt, logpdf=lambda x: np.log(2 * x), support=(0.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("dist", NAN_LAWS, ids=repr)
+@pytest.mark.parametrize("density", ["pdf", "logpdf", "conditional_pdf"])
+def test_density_is_nan_at_nan(dist, density):
+    f = {"pdf": dist.pdf, "logpdf": dist.logpdf,
+         "conditional_pdf": lambda x: conditional_pdf(dist, 4, 2, x)}[density]
+    assert math.isnan(f(math.nan))
+    out = f(np.array([math.nan, 0.5, math.nan]))
+    assert out.dtype == np.float64
+    assert np.isnan(out).tolist() == [True, False, True]
+    assert out[1] == f(0.5)

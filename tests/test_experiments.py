@@ -19,6 +19,7 @@ from qstrat.cli import main
 from qstrat.distributions import distribution_from_name
 from qstrat.errors import DomainError
 from qstrat.experiments import (
+    _BLOCK_ROWS,
     ExperimentConfig,
     ExperimentResult,
     Table,
@@ -392,6 +393,67 @@ class TestRenderersMatchReference:
         assert report_to_json(result, include_rows=False) == _reference_json(
             result.report, [], include_rows=False
         )
+
+
+def _block_table(n: int) -> dict[str, list]:
+    """Columns of n rows with every kind of cell the renderers plan apart."""
+    rng = np.random.default_rng(n)
+    tile = [0.1, -0.0, 2.5e-300, 0.0, 1e300, -7.0]
+    text = ["plain", "a,b", 'say "hi"', "line\nbreak", "", "ok"]
+    special = [1.5, math.inf, -2.0, math.nan, -math.inf, 0.0, -0.0]
+    return {
+        "distinct": rng.standard_normal(n).tolist(),
+        "tiled": [tile[i % len(tile)] for i in range(n)],
+        "tiled_nonzero": [tile[i % 3 * 2] for i in range(n)],
+        "int": rng.integers(-10 ** 6, 10 ** 6, n).tolist(),
+        "zeros": [0.0, -0.0] * (n // 2) + [0.0] * (n % 2),
+        "text": [text[i % len(text)] for i in range(n)],
+        "plain_text": ["iid", "qs", "lqs"] * (n // 3) + ["iid"] * (n % 3),
+        "non_finite": [special[i % len(special)] for i in range(n)],
+    }
+
+
+def _assert_same(text: str, reference: str, label: str = ""):
+    """text == reference, quoting the first difference, not a full diff of
+    two long texts."""
+    if text != reference:
+        i = next((i for i, pair in enumerate(zip(text, reference)) if len(set(pair)) > 1),
+                 min(len(text), len(reference)))
+        pytest.fail(f"{label} texts of {len(text)} and {len(reference)} characters differ at {i}: "
+                    f"{text[i - 40:i + 40]!r} != {reference[i - 40:i + 40]!r}")
+
+
+class TestRenderersAcrossBlocks:
+    """Tables on both sides of a block boundary of the row templates."""
+
+    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   3 * _BLOCK_ROWS + 7])
+    def test_mixed_table(self, n):
+        result = _odd_result(_block_table(n))
+        rows = list(result.rows)
+        assert len(rows) == n
+        _assert_same(rows_to_csv(result.rows), _reference_csv(rows))
+        _assert_same(report_to_json(result), _reference_json(result.report, rows))
+        _assert_same(report_to_json(result, include_rows=False),
+                     _reference_json(result.report, rows, include_rows=False))
+
+    @pytest.mark.parametrize("n", [_BLOCK_ROWS, 3 * _BLOCK_ROWS + 7])
+    def test_each_column_alone(self, n):
+        for name, values in _block_table(n).items():
+            result = _odd_result({name: values})
+            rows = list(result.rows)
+            _assert_same(rows_to_csv(result.rows), _reference_csv(rows), name)
+            _assert_same(report_to_json(result), _reference_json(result.report, rows), name)
+
+    def test_qq_export_of_twelve_thousand_rows(self):
+        result = run_experiment(cfg(experiment="qq_export", dist="gamma", params=(2, 5),
+                                    m=200, layers=(120, 50, 30), replicates=20, seed=27))
+        rows = list(result.rows)
+        assert len(rows) == 12_000
+        _assert_same(rows_to_csv(result.rows), _reference_csv(rows))
+        _assert_same(report_to_json(result), _reference_json(result.report, rows))
+        _assert_same(report_to_json(result, include_rows=False),
+                     _reference_json(result.report, rows, include_rows=False))
 
 
 def _float_from_bits(bits: int) -> float:

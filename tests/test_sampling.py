@@ -20,7 +20,6 @@ from qstrat.sampling import (
     sample_lqs,
     sample_qs,
     spawn_seed,
-    srswor_perm,
     uniforms,
 )
 
@@ -52,23 +51,26 @@ def pair_correlation(u: np.ndarray) -> tuple[float, float]:
     return corr, se
 
 
-class TestSrsworPerm:
+class TestQsBlockPermutations:
+    """Each QS row's block indices are a uniformly random permutation."""
+
     def test_single_element(self):
         rng = np.random.default_rng(0)
-        assert srswor_perm(1, rng).tolist() == [1]
+        assert qs_uniform_batches(1, 1, rng)[1].tolist() == [[1]]
 
     def test_is_permutation(self):
         rng = np.random.default_rng(1)
         for m in (2, 3, 5, 17):
-            assert np.array_equal(np.sort(srswor_perm(m, rng)), np.arange(1, m + 1))
+            blocks = qs_uniform_batches(m, 4, rng)[1]
+            assert np.array_equal(np.sort(blocks, axis=1), np.tile(np.arange(1, m + 1), (4, 1)))
 
     def test_all_six_permutations_uniform(self):
         # 60000 draws of a 3-permutation: each of the 6 outcomes near 1/6.
         rng = np.random.default_rng(2)
         draws = 60_000
         counts = {p: 0 for p in itertools.permutations((1, 2, 3))}
-        for _ in range(draws):
-            counts[tuple(srswor_perm(3, rng))] += 1
+        for row in qs_uniform_batches(3, draws, rng)[1].tolist():
+            counts[tuple(row)] += 1
         freqs = np.array(list(counts.values())) / draws
         assert np.all(np.abs(freqs - 1 / 6) <= 0.01)
         chi2, p_value = stats.chisquare(list(counts.values()))
@@ -76,7 +78,7 @@ class TestSrsworPerm:
 
     def test_size_validation(self):
         with pytest.raises(DomainError):
-            srswor_perm(0, np.random.default_rng(0))
+            qs_uniform_batches(0, 1, np.random.default_rng(0))
 
 
 class TestIidSampling:
@@ -318,10 +320,11 @@ class TestUniformsDispatch:
     @pytest.mark.parametrize("m", [1, 2, 7, 100, 2000])
     @pytest.mark.parametrize("seed", range(5))
     def test_sample_qs_keeps_its_permutation_stream(self, m, seed):
-        # sample_qs once drew srswor_perm and then m uniforms; as the reps=1
-        # row of qs_uniform_batches it must draw the same values.
+        # sample_qs once drew a random permutation of 1..m and then m
+        # uniforms; as the reps=1 row of qs_uniform_batches it must draw the
+        # same values.
         rng = np.random.default_rng(seed)
-        perm = srswor_perm(m, rng)
+        perm = rng.permutation(np.arange(1, m + 1))
         u = (perm - rng.random(m)) / m
         np.copyto(u, np.nextafter(1.0, 0.0), where=(u >= 1.0))
         batch = sample_qs(Normal(0, 1), m, seed=seed)

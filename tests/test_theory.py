@@ -20,6 +20,7 @@ from qstrat.theory import (
     quantile_targets,
     spacing_law,
 )
+from qstrat.theory import _quantile_target_arrays
 
 
 class TestQsUniformMoments:
@@ -127,6 +128,21 @@ class TestQuantileTargets:
             quantile_targets(5, 0)
         with pytest.raises(DomainError):
             quantile_targets(5, 6)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 999, 1000, 1199, 4999, 5000, 65537])
+    def test_array_form_has_the_same_bits(self, m):
+        # The QQ export takes its plotting positions from the array form.
+        arrays = _quantile_target_arrays(m)
+        exact = np.array([quantile_targets(m, k) for k in range(1, m + 1)])
+        for got, want in zip(arrays, exact.T):
+            assert got.dtype == np.float64 and got.shape == (m,)
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          np.ascontiguousarray(want).view(np.uint64))
+
+    def test_array_form_checks_m(self):
+        for m in (0, 2.5, "3"):
+            with pytest.raises(DomainError):
+                _quantile_target_arrays(m)
 
 
 class TestOrderStatMoments:
