@@ -473,14 +473,22 @@ def _json_cell(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", _FIELD_INDENT)
 
 
-def _format_floats(values: list, fmt) -> Iterable[str]:
+def _format_floats(values: list, fmt) -> list[str]:
     """``fmt(v)`` for each float v, computed once per distinct nonzero value
     of a tiled column.  Equal nonzero floats have the same bits; 0.0 == -0.0
     do not, so zeros are formatted one by one."""
     text = {v: fmt(v) for v in set(values)}
-    if 0.0 in text:
-        return [text[v] if v else fmt(v) for v in values]
-    return map(text.__getitem__, values)
+    return [text[v] if v else fmt(v) for v in values]
+
+
+def _float_cells(values: list, conversion: str) -> tuple[str, list]:
+    """The conversion and cells of a column of floats: the template formats
+    them itself with ``conversion``, unless at least half the cells repeat,
+    when each distinct value is formatted once and read with ``%s``."""
+    # np.unique counts the distinct values faster than a set.
+    if 2 * len(np.unique(values)) <= len(values):
+        return "%s", _format_floats(values, conversion.__mod__)
+    return conversion, values
 
 
 def _csv_quoted(strings: list[str], lone: bool) -> list[str]:
@@ -502,42 +510,36 @@ def _csv_quoted(strings: list[str], lone: bool) -> list[str]:
     return [quoted[value] for value in strings]
 
 
-def _column_plan(table: Table, names: list[str], fmt: str) -> tuple[list[str], list]:
-    """The % conversion of each named column in a row template, and the
-    sequence of cells the template reads for it, as format ``fmt`` ("csv"
-    or "json") writes them.
-
-    The template formats ints (``%d``) and floats (``%.9g`` in CSV, ``%r``
-    in JSON) itself.  A float column where at least half the cells repeat
-    has each distinct value formatted once instead, and every other column
-    (strings, bools, None, mixed, nested, and NaN or inf in JSON) becomes
-    strings read with ``%s``.
-    """
-    conversions, cells = [], []
-    for name in names:
-        values = table.columns[name]
-        kinds = set(map(type, values))
-        if kinds == {int}:
-            conversion, column = "%d", values
-        elif kinds == {float} and (fmt == "csv" or all(map(math.isfinite, values))):
-            conversion, column = ("%.9g" if fmt == "csv" else "%r"), values
-            # np.unique counts the distinct values faster than a set.
-            if 2 * len(np.unique(values)) <= len(values):
-                conversion, column = "%s", _format_floats(values, conversion.__mod__)
-        elif fmt == "json" and kinds == {str}:
-            text = {v: json.encoder.encode_basestring_ascii(v) for v in set(values)}
-            conversion, column = "%s", map(text.__getitem__, values)
-        elif fmt == "json":
-            conversion, column = "%s", map(_json_cell, values)
-        else:
-            strings = values if kinds == {str} else list(map(_format_cell, values))
-            conversion, column = "%s", _csv_quoted(strings, len(names) == 1)
-        conversions.append(conversion)
-        cells.append(column)
-    return conversions, cells
+def _csv_plan(values: list, lone: bool) -> tuple[str, Iterable]:
+    """The % conversion of one column in the CSV row template and the cells
+    it reads: ``%d`` for ints, ``%.9g`` for floats, and quoted strings
+    otherwise (``lone``: the table has this one column)."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return "%d", values
+    if kinds == {float}:
+        return _float_cells(values, "%.9g")
+    strings = values if kinds == {str} else list(map(_format_cell, values))
+    return "%s", _csv_quoted(strings, lone)
 
 
-def _fill_rows(row: str, sep: str, cells: list, n: int) -> list[str]:
+def _json_plan(values: list) -> tuple[str, Iterable]:
+    """The % conversion of one column in the JSON row template and the cells
+    it reads: ``%d`` for ints, ``%r`` for finite floats, each distinct
+    string encoded once, and ``_json_cell`` text for anything else (bools,
+    None, mixed, nested, NaN or inf)."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return "%d", values
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return _float_cells(values, "%r")
+    if kinds == {str}:
+        text = {v: json.encoder.encode_basestring_ascii(v) for v in set(values)}
+        return "%s", map(text.__getitem__, values)
+    return "%s", map(_json_cell, values)
+
+
+def _fill_rows(row: str, sep: str, cells: Sequence, n: int) -> list[str]:
     """The n rows, each ``row % cells``, separated by ``sep``, in blocks of
     up to _BLOCK_ROWS rows formatted by one template each."""
     rows = zip(*cells)
@@ -559,7 +561,8 @@ def rows_to_csv(rows: Table | list[dict]) -> str:
     if not table:
         return ""
     names = list(table.columns)
-    conversions, cells = _column_plan(table, names, "csv")
+    lone = len(names) == 1
+    conversions, cells = zip(*(_csv_plan(table.columns[name], lone) for name in names))
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(names)
     body = _fill_rows(",".join(conversions) + "\n", "", cells, len(table))
@@ -580,7 +583,7 @@ def report_to_json(result: ExperimentResult, include_rows: bool = True) -> str:
     # brackets, from one row template over the sorted column names (a "%"
     # in a name is escaped), and are joined with the report text once.
     names = sorted(table.columns)
-    conversions, cells = _column_plan(table, names, "json")
+    conversions, cells = zip(*(_json_plan(table.columns[name]) for name in names))
     fields = ",".join(_FIELD_INDENT + json.dumps(name).replace("%", "%%") + ": " + conversion
                       for name, conversion in zip(names, conversions))
     body = _fill_rows("\n    {" + fields + "\n    }", ",", cells, len(table))
