@@ -221,14 +221,16 @@ def run_moment_check(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     for method in _method_list(cfg):
         mom = theory.lqs_uniform_moments(layers[method])
-        u = _uniform_batches(method, cfg, reps)
-        centered = u - 0.5
-        row_mean = u.mean(axis=1)
-        row_sq = (centered ** 2).mean(axis=1)
+        # This loop owns the batch: it is centred and then squared in place.
+        centered = _uniform_batches(method, cfg, reps)
+        row_mean = centered.mean(axis=1)
+        centered -= 0.5
+        s = centered.sum(axis=1)
+        np.square(centered, out=centered)
+        row_sq = centered.mean(axis=1)
         # Average of (U_i - 1/2)(U_j - 1/2) over ordered pairs i != j is an
         # unbiased per-replicate estimate of the pairwise covariance.
-        s = centered.sum(axis=1)
-        pair = (s ** 2 - (centered ** 2).sum(axis=1)) / (cfg.m * (cfg.m - 1))
+        pair = (s ** 2 - centered.sum(axis=1)) / (cfg.m * (cfg.m - 1))
         rows.append(_z_row(method, "mean", 0.5, row_mean))
         rows.append(_z_row(method, "variance", 1.0 / 12.0, row_sq))
         cov_row = _z_row(method, "pair_covariance", mom.pair_covariance, pair)
@@ -345,7 +347,8 @@ def run_spacing_check(cfg: ExperimentConfig) -> ExperimentResult:
     reps = cfg.resolved_replicates()
     rows = []
     for method in ("iid", "qs"):
-        u = np.sort(_uniform_batches(method, cfg, reps), axis=1)
+        u = _uniform_batches(method, cfg, reps)
+        u.sort(axis=1)
         for ell in lags:
             k = 1 + (np.arange(reps) % (m - ell))
             d = u[np.arange(reps), k + ell - 1] - u[np.arange(reps), k - 1]
@@ -491,17 +494,26 @@ def _float_cells(values: list, conversion: str) -> tuple[str, list]:
     return conversion, values
 
 
-def _csv_quoted(strings: list[str], lone: bool) -> list[str]:
-    """The cells as the csv module writes them, quoting each distinct value
-    once.  In a table of one (``lone``) column csv writes an empty cell as
-    ``""``, so that the row is not blank; elsewhere it writes nothing."""
+def _csv_text(text: str, where: str) -> str:
+    """``text``, unless it holds a NUL, which the csv module rejects on
+    Python 3.10 and writes unquoted on 3.11+."""
+    if "\0" in text:
+        raise DomainError(f"CSV cannot hold the NUL character in {where}")
+    return text
+
+
+def _csv_quoted(name: str, strings: list[str], lone: bool) -> list[str]:
+    """The cells of column ``name`` as the csv module writes them, quoting
+    each distinct value once.  In a table of one (``lone``) column csv writes
+    an empty cell as ``""``, so that the row is not blank; elsewhere it
+    writes nothing."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     quoted = {}
     for value in set(strings):
         buf.seek(0)
         buf.truncate()
-        writer.writerow((value,))
+        writer.writerow((_csv_text(value, f"column {name!r}"),))
         quoted[value] = buf.getvalue()[:-1]
     if "" in quoted and not lone:
         quoted[""] = ""
@@ -510,9 +522,9 @@ def _csv_quoted(strings: list[str], lone: bool) -> list[str]:
     return [quoted[value] for value in strings]
 
 
-def _csv_plan(values: list, lone: bool) -> tuple[str, Iterable]:
-    """The % conversion of one column in the CSV row template and the cells
-    it reads: ``%d`` for ints, ``%.9g`` for floats, and quoted strings
+def _csv_plan(name: str, values: list, lone: bool) -> tuple[str, Iterable]:
+    """The % conversion of column ``name`` in the CSV row template and the
+    cells it reads: ``%d`` for ints, ``%.9g`` for floats, and quoted strings
     otherwise (``lone``: the table has this one column)."""
     kinds = set(map(type, values))
     if kinds == {int}:
@@ -520,7 +532,7 @@ def _csv_plan(values: list, lone: bool) -> tuple[str, Iterable]:
     if kinds == {float}:
         return _float_cells(values, "%.9g")
     strings = values if kinds == {str} else list(map(_format_cell, values))
-    return "%s", _csv_quoted(strings, lone)
+    return "%s", _csv_quoted(name, strings, lone)
 
 
 def _json_plan(values: list) -> tuple[str, Iterable]:
@@ -556,13 +568,14 @@ def _fill_rows(row: str, sep: str, cells: Sequence, n: int) -> list[str]:
 
 def rows_to_csv(rows: Table | list[dict]) -> str:
     """Render rows as CSV: header from the first row, floats at 9 significant
-    digits, '\n' line endings.  Byte-stable for identical inputs."""
+    digits, '\n' line endings.  Byte-stable for identical inputs.  A NUL
+    character in a column name or string cell raises DomainError."""
     table = rows if isinstance(rows, Table) else Table.from_rows(rows)
     if not table:
         return ""
-    names = list(table.columns)
+    names = [_csv_text(name, "a column name") for name in table.columns]
     lone = len(names) == 1
-    conversions, cells = zip(*(_csv_plan(table.columns[name], lone) for name in names))
+    conversions, cells = zip(*(_csv_plan(name, table.columns[name], lone) for name in names))
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(names)
     body = _fill_rows(",".join(conversions) + "\n", "", cells, len(table))

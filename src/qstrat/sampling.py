@@ -168,6 +168,27 @@ class SampleBatch:
 # Vectorized uniform generators (one row per replicate)
 # ---------------------------------------------------------------------------
 
+# The QS and LQS arrays are filled in place and must stay C-ordered: a gather
+# with a broadcast 2-D index, or ``permuted`` of a broadcast view, comes back
+# Fortran-ordered, and row reductions over it add in another order.
+
+def _permute_rows(perms: np.ndarray, start: int, rng: np.random.Generator) -> np.ndarray:
+    """Fill the (reps, n) int64 array ``perms`` with an independent uniform
+    permutation of start..start+n-1 per row, the rows shuffled in turn, and
+    return it."""
+    perms[...] = np.arange(start, start + perms.shape[1])
+    return rng.permuted(perms, axis=1, out=perms)
+
+
+def _qs_place(perms: np.ndarray, r: np.ndarray, m: int, out: np.ndarray) -> None:
+    """Write U = (perms - r) / m into ``out`` (which may be r): with r in
+    [0, 1), each U lands in its block ((s - 1)/m, s/m]."""
+    np.subtract(perms, r, out=out)
+    out /= m
+    # r == 0 puts U exactly at the upper block edge; keep U strictly below 1.
+    np.minimum(out, np.nextafter(1.0, 0.0), out=out)
+
+
 def iid_uniform_batches(m: int, reps: int, rng: np.random.Generator):
     """IID uniforms of shape (reps, m) and their block indices ceil(m*U)."""
     m, reps = check_int(m, "sample size m"), check_int(reps, "replicates")
@@ -184,12 +205,10 @@ def qs_uniform_batches(m: int, reps: int, rng: np.random.Generator):
     half-open block ((sigma_i - 1)/m, sigma_i/m].
     """
     m, reps = check_int(m, "sample size m"), check_int(reps, "replicates")
-    perms = rng.permuted(np.tile(np.arange(1, m + 1), (reps, 1)), axis=1)
-    r = rng.random((reps, m))
-    u = (perms - r) / m
-    # r == 0 puts U exactly at the upper block edge; keep U strictly below 1.
-    np.copyto(u, np.nextafter(1.0, 0.0), where=(u >= 1.0))
-    return u, perms.astype(np.int64)
+    perms = _permute_rows(np.empty((reps, m), dtype=np.int64), 1, rng)
+    u = rng.random((reps, m))
+    _qs_place(perms, u, m, out=u)
+    return u, perms
 
 
 def lqs_uniform_batches(layers, reps: int, rng: np.random.Generator):
@@ -202,19 +221,21 @@ def lqs_uniform_batches(layers, reps: int, rng: np.random.Generator):
     """
     spec, reps = _as_layers(layers), check_int(reps, "replicates")
     m = spec.total
-    u_parts, b_parts, l_parts = [], [], []
-    for k, mk in enumerate(spec.sizes, start=1):
-        u_k, b_k = qs_uniform_batches(mk, reps, rng)
-        u_parts.append(u_k)
-        b_parts.append(b_k)
-        l_parts.append(np.full((reps, mk), k, dtype=np.int64))
-    u = np.concatenate(u_parts, axis=1)
-    blocks = np.concatenate(b_parts, axis=1)
-    layer_idx = np.concatenate(l_parts, axis=1)
-    shuffle = rng.permuted(np.tile(np.arange(m), (reps, 1)), axis=1)
-    u = np.take_along_axis(u, shuffle, axis=1)
-    blocks = np.take_along_axis(blocks, shuffle, axis=1)
-    layer_idx = np.take_along_axis(layer_idx, shuffle, axis=1)
+    # Each layer is a QS draw written into its own columns, before the shuffle.
+    u = np.empty((reps, m))
+    blocks = np.empty((reps, m), dtype=np.int64)
+    start = 0
+    for mk in spec.sizes:
+        perms = _permute_rows(blocks[:, start:start + mk], 1, rng)
+        _qs_place(perms, rng.random((reps, mk)), mk, out=u[:, start:start + mk])
+        start += mk
+    shuffle = _permute_rows(np.empty((reps, m), dtype=np.int64), 0, rng)
+    layer_of = np.repeat(np.arange(1, spec.n_layers + 1, dtype=np.int64), spec.sizes)
+    layer_idx = layer_of[shuffle]
+    # One flat gather per array: row r of the result reads row r of the input.
+    shuffle += np.arange(0, reps * m, m)[:, None]
+    u = u.ravel()[shuffle]
+    blocks = blocks.ravel()[shuffle]
     return u, blocks, layer_idx
 
 
@@ -223,7 +244,8 @@ def uniforms(method: str, size, reps: int, rng: np.random.Generator):
 
     ``size`` is the sample size m for "iid" and "qs", and the layer sizes
     for "lqs"; ``reps`` is an integer >= 1.  Returns (uniforms, blocks,
-    layer_index), where layer_index is None except for LQS.  This is the one
+    layer_index), C-ordered float64, int64 and int64 arrays, where
+    layer_index is None except for LQS.  This is the one
     dispatch from a method name to its batch generator; a single sample is
     the ``reps=1`` row.
     """

@@ -1,9 +1,11 @@
 """CLI surface: subcommands, exit codes, artifact determinism and the
 QSTRAT_SEED environment override."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,3 +218,38 @@ class TestSubprocessRoundTrip:
         r = self.run("sample", "--method", "lqs", "--m", "30", "--layers", "18,9,4")
         assert r.returncode == 1
         assert "sum to 31" in r.stderr
+
+
+def _load_artifact_digests():
+    path = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestArtifactDigests:
+    """tools/artifact_digests.py prints a line per command and fails when
+    any command fails."""
+
+    GOOD = ("theory", "--m", "10", "--ell", "1")
+    BAD = ("experiment", "--name", "spacing_check", "--m", "1")
+
+    def run(self, monkeypatch, capsys, commands):
+        tool = _load_artifact_digests()
+        monkeypatch.setattr(tool, "commands", lambda: iter(commands))
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        code = tool.main([str(Path(tool.__file__).resolve().parents[1])])
+        return code, capsys.readouterr().out.splitlines()
+
+    def test_all_commands_pass(self, monkeypatch, capsys):
+        code, lines = self.run(monkeypatch, capsys, [self.GOOD])
+        assert code == 0
+        assert len(lines) == 1 and "exit=0  qstrat theory" in lines[0]
+
+    def test_failing_command_fails_the_run_after_every_line(self, monkeypatch, capsys):
+        code, lines = self.run(monkeypatch, capsys, [self.BAD, self.GOOD])
+        assert code == 1
+        assert len(lines) == 2
+        assert "exit=1  qstrat experiment --name spacing_check --m 1" in lines[0]
+        assert "exit=0  qstrat theory" in lines[1]

@@ -394,6 +394,17 @@ class TestRenderersMatchReference:
             result.report, [], include_rows=False
         )
 
+    @pytest.mark.parametrize("columns,where", [
+        ({"label": ["ok", "a\0b", "ok"], "n": [1, 2, 3]}, "column 'label'"),
+        ({"mixed": ["x\0", 1]}, "column 'mixed'"),
+        ({"a\0b": [1.5]}, "a column name"),
+    ])
+    def test_csv_rejects_nul(self, columns, where):
+        # Python 3.10's csv module raises its own error on NUL and 3.11+
+        # writes it unquoted; the renderer raises DomainError on both.
+        with pytest.raises(DomainError, match=f"NUL character in {where}"):
+            rows_to_csv(Table(columns))
+
 
 def _block_table(n: int) -> dict[str, list]:
     """Columns of n rows with every kind of cell the renderers plan apart."""

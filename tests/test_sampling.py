@@ -2,6 +2,7 @@
 reductions and seed-keyed determinism."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,6 +349,87 @@ class TestUniformsDispatch:
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
             uniforms("sobol", 5, 1, np.random.default_rng(0))
+
+
+def reference_uniforms(method, size, reps, rng):
+    """The generators before they worked in place: tiled permutations copied
+    by ``permuted``, LQS layers concatenated from part lists and gathered by
+    ``take_along_axis``.  The in-place generators must match them bit for
+    bit, since both make the same RNG calls in the same order."""
+
+    def qs(m):
+        perms = rng.permuted(np.tile(np.arange(1, m + 1), (reps, 1)), axis=1)
+        r = rng.random((reps, m))
+        u = (perms - r) / m
+        np.copyto(u, np.nextafter(1.0, 0.0), where=(u >= 1.0))
+        return u, perms.astype(np.int64)
+
+    if method == "iid":
+        u = rng.random((reps, size))
+        np.copyto(u, 2.0 ** -53, where=(u == 0.0))
+        return u, np.ceil(size * u).astype(np.int64), None
+    if method == "qs":
+        return (*qs(size), None)
+    layers = (size,) if isinstance(size, int) else size
+    parts = [(*qs(mk), np.full((reps, mk), k, dtype=np.int64))
+             for k, mk in enumerate(layers, start=1)]
+    u, blocks, layer_idx = (np.concatenate(arrays, axis=1) for arrays in zip(*parts))
+    shuffle = rng.permuted(np.tile(np.arange(sum(layers)), (reps, 1)), axis=1)
+    return tuple(np.take_along_axis(x, shuffle, axis=1) for x in (u, blocks, layer_idx))
+
+
+SIZES = (1, (1,) * 6, (12,), (18, 9, 3), (500, 300, 200))
+# 20000 replicates of m = 1000 would hold ~1.3 GB in the reference LQS
+# generator; that size runs at 2000 replicates instead.
+SIZE_REPS = [(size, reps) for size in SIZES for reps in (1, 7, 20_000)
+             if reps * np.sum(size) <= 10 ** 6] + [((500, 300, 200), 2000)]
+
+
+class TestInPlaceGenerators:
+    """The generators fill their outputs in place; the arrays they return
+    are the reference's, bit for bit, and C-ordered."""
+
+    @pytest.mark.parametrize("method", ["iid", "qs", "lqs"])
+    @pytest.mark.parametrize("size,reps", SIZE_REPS)
+    def test_bit_equal_to_reference_and_c_ordered(self, method, size, reps):
+        m = int(np.sum(size))
+        size = size if method == "lqs" else m
+        out = uniforms(method, size, reps, np.random.default_rng(reps + m))
+        expected = reference_uniforms(method, size, reps, np.random.default_rng(reps + m))
+        assert (out[2] is None) == (method != "lqs")
+        for got, want in zip(out, expected):
+            if want is None:
+                continue
+            assert got.shape == (reps, m)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            assert got.flags.c_contiguous
+        assert out[0].dtype == np.float64
+        assert all(x.dtype == np.int64 for x in out[1:] if x is not None)
+
+    @pytest.mark.parametrize("method,size,limit", [
+        ("qs", 30, 20), ("lqs", (18, 9, 3), 44), ("iid", 30, 26),
+    ])
+    def test_traced_peak_bytes_per_cell(self, method, size, limit):
+        # Outputs are 16 B a cell for IID and QS and 24 B for LQS.  The
+        # in-place generators peak at 24 (IID), 16 (QS) and 40 B (LQS: the
+        # unshuffled u and blocks and the shuffle index live through the
+        # gathers); the generators before them peaked at 24, 32 and 64 B.
+        reps, m = 20_000, 30
+        rng = np.random.default_rng(3)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = uniforms(method, size, reps, rng)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert out[0].shape == (reps, m)
+        assert peak / (reps * m) <= limit
 
 
 class TestCustomQuantileSampling:

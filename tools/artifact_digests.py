@@ -16,8 +16,9 @@ every artifact whose bytes differ.  The artifacts are:
 
 each at seeds 1, 7 and 12345, and ``qstrat theory`` with ``--k``, ``--ell``
 and ``--layers`` (it takes no seed).  Each line is the digest, the exit
-code and the command.  The script uses the standard library only; qstrat
-itself needs numpy and scipy.
+code and the command.  Every line is printed; the script then exits 1 if
+any command exited non-zero, and 0 otherwise.  The script uses the
+standard library only; qstrat itself needs numpy and scipy.
 """
 
 from __future__ import annotations
@@ -79,13 +80,17 @@ def main(argv: list[str]) -> int:
         print(f"qstrat was imported from {qstrat.cli.__file__}, not from {root}",
               file=sys.stderr)
         return 1
+    failed = 0
     for cmd in commands():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = qstrat.cli.main(list(cmd))
         digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
         print(f"{digest}  exit={code}  qstrat {' '.join(cmd)}")
-    return 0
+        failed += code != 0
+    if failed:
+        print(f"{failed} command(s) exited non-zero", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
