@@ -27,7 +27,7 @@ m, reps = 30, 5_000
 targets = np.array([quantile_targets(m, k)[1] for k in range(1, m + 1)])
 rng = np.random.default_rng(1)
 u_iid, _ = iid_uniform_batches(m, reps, rng)
-u_lqs, _, _ = lqs_uniform_batches((18, 9, 3), reps, rng)
+u_lqs, _ = lqs_uniform_batches((18, 9, 3), reps, rng)
 u_qs, _ = qs_uniform_batches(m, reps, rng)
 
 print("\nmean |sorted uniform - expected position| at m = 30:")

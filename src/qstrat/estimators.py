@@ -193,6 +193,7 @@ def taylor_variance_approx(g_prime_half: float, m: int, method: str) -> float:
     proposal quantile function, linearizing G around E[U] = 1/2 gives
     G'(1/2)^2 / (12 m) for IID sampling and G'(1/2)^2 / (12 m^3) for QS
     sampling: the stratification cancels all but 1/m^2 of the variance.
+    Both formulas are exact only for linear G.
     """
     m = check_int(m, "sample size m")
     method = check_name(method, ("iid", "qs"), "method")

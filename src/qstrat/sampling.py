@@ -144,17 +144,15 @@ def sample_size(method: str, m=None, layers=None):
 
 @dataclass
 class SampleBatch:
-    """One generated sample with its underlying uniforms and block indices.
+    """One generated sample with its underlying uniforms.
 
-    ``values[i]`` always equals ``dist.quantile(uniforms[i])``.  ``blocks``
-    holds the quantile-block index of each uniform (within its own layer for
-    LQS, in which case ``layer_index`` records the layer of each point).
+    ``values[i]`` always equals ``dist.quantile(uniforms[i])``; for LQS,
+    ``layer_index`` records the 1-based layer of each point.
     """
 
     method: str
     uniforms: np.ndarray
     values: np.ndarray
-    blocks: np.ndarray
     seed: int
     layers: LayerSpec | None = None
     layer_index: np.ndarray | None = field(default=None, repr=False)
@@ -162,6 +160,14 @@ class SampleBatch:
     @property
     def m(self) -> int:
         return self.uniforms.size
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """The block ceil(m_k * U) of each uniform, m_k the size of its layer
+        (m without layers).  Exact in U-space, while a Beta or Gamma value may
+        sit one ulp outside its block [Q((s-1)/m), Q(s/m)] (see ``Beta``)."""
+        m = self.m if self.layers is None else np.array(self.layers.sizes)[self.layer_index - 1]
+        return np.ceil(m * self.uniforms).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -181,24 +187,22 @@ def _permute_rows(perms: np.ndarray, start: int, rng: np.random.Generator) -> np
 
 
 def _qs_place(perms: np.ndarray, r: np.ndarray, m: int, out: np.ndarray) -> None:
-    """Write U = (perms - r) / m into ``out`` (which may be r): with r in
-    [0, 1), each U lands in its block ((s - 1)/m, s/m]."""
+    """Write U = (perms - r) / m into ``out`` (which may be r) after clipping
+    r in place into [m 2^-52, 1 - m 2^-52]: each U then lies strictly inside
+    (0, 1) and ceil(m * U) is exactly its block, perms."""
+    np.clip(r, m * 2.0 ** -52, 1.0 - m * 2.0 ** -52, out=r)
     np.subtract(perms, r, out=out)
     out /= m
-    # r == 0 puts U exactly at the upper block edge; keep U strictly below 1.
-    np.minimum(out, np.nextafter(1.0, 0.0), out=out)
 
 
 def iid_uniform_batches(m: int, reps: int, rng: np.random.Generator):
-    """IID uniforms of shape (reps, m) and their block indices ceil(m*U)."""
+    """IID uniforms of shape (reps, m), as (uniforms, None)."""
     m, reps = check_int(m, "sample size m"), check_int(reps, "replicates")
-    u = _open_uniform(rng, (reps, m))
-    blocks = np.ceil(m * u).astype(np.int64)
-    return u, blocks
+    return _open_uniform(rng, (reps, m)), None
 
 
 def qs_uniform_batches(m: int, reps: int, rng: np.random.Generator):
-    """QS uniforms of shape (reps, m): one value per quantile block per row.
+    """QS uniforms of shape (reps, m), as (uniforms, None): one per block per row.
 
     Row construction: a random permutation sigma of 1..m, then
     U_i = (sigma_i - r_i) / m with r_i in [0, 1), which lands U_i in the
@@ -208,14 +212,13 @@ def qs_uniform_batches(m: int, reps: int, rng: np.random.Generator):
     perms = _permute_rows(np.empty((reps, m), dtype=np.int64), 1, rng)
     u = rng.random((reps, m))
     _qs_place(perms, u, m, out=u)
-    return u, perms
+    return u, None
 
 
 def lqs_uniform_batches(layers, reps: int, rng: np.random.Generator):
     """LQS uniforms of shape (reps, m): per-layer QS subsamples, shuffled.
 
-    Returns (uniforms, blocks, layer_index) where ``blocks`` are block
-    indices within each point's own layer and ``layer_index`` is the 1-based
+    Returns (uniforms, layer_index), where ``layer_index`` is the 1-based
     layer each point came from.  The final within-row shuffle is a uniform
     permutation of all m positions.
     """
@@ -223,41 +226,35 @@ def lqs_uniform_batches(layers, reps: int, rng: np.random.Generator):
     m = spec.total
     # Each layer is a QS draw written into its own columns, before the shuffle.
     u = np.empty((reps, m))
-    blocks = np.empty((reps, m), dtype=np.int64)
     start = 0
     for mk in spec.sizes:
-        perms = _permute_rows(blocks[:, start:start + mk], 1, rng)
+        perms = _permute_rows(np.empty((reps, mk), dtype=np.int64), 1, rng)
         _qs_place(perms, rng.random((reps, mk)), mk, out=u[:, start:start + mk])
         start += mk
     shuffle = _permute_rows(np.empty((reps, m), dtype=np.int64), 0, rng)
-    layer_of = np.repeat(np.arange(1, spec.n_layers + 1, dtype=np.int64), spec.sizes)
-    layer_idx = layer_of[shuffle]
-    # One flat gather per array: row r of the result reads row r of the input.
-    shuffle += np.arange(0, reps * m, m)[:, None]
+    # One flat gather: row r of the result reads row r of the input.
+    row_offsets = np.arange(0, reps * m, m)[:, None]
+    shuffle += row_offsets
     u = u.ravel()[shuffle]
-    blocks = blocks.ravel()[shuffle]
-    return u, blocks, layer_idx
+    shuffle -= row_offsets
+    return u, np.repeat(np.arange(1, spec.n_layers + 1, dtype=np.int64), spec.sizes)[shuffle]
 
 
 def uniforms(method: str, size, reps: int, rng: np.random.Generator):
-    """Uniforms of shape (reps, m) drawn by ``method``, with their block indices.
+    """Uniforms of shape (reps, m) drawn by ``method``, with the LQS layers.
 
     ``size`` is the sample size m for "iid" and "qs", and the layer sizes
-    for "lqs"; ``reps`` is an integer >= 1.  Returns (uniforms, blocks,
-    layer_index), C-ordered float64, int64 and int64 arrays, where
-    layer_index is None except for LQS.  This is the one
-    dispatch from a method name to its batch generator; a single sample is
-    the ``reps=1`` row.
+    for "lqs"; ``reps`` is an integer >= 1.  Returns (uniforms, layer_index),
+    C-ordered float64 and int64 arrays, layer_index None except for LQS (a
+    point's block is :attr:`SampleBatch.blocks`).  This is the one dispatch
+    from a method name to its batch generator, looked up at call time; a
+    single sample is the ``reps=1`` row.
     """
-    if method == "lqs":
-        return lqs_uniform_batches(size, reps, rng)
-    if method == "qs":
-        u, blocks = qs_uniform_batches(size, reps, rng)
-    elif method == "iid":
-        u, blocks = iid_uniform_batches(size, reps, rng)
-    else:
+    generators = {"iid": iid_uniform_batches, "qs": qs_uniform_batches,
+                  "lqs": lqs_uniform_batches}
+    if method not in generators:
         raise DomainError(f"method must be one of {METHODS}, got {method!r}")
-    return u, blocks, None
+    return generators[method](size, reps, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +274,9 @@ def sample(
     """
     method, size = sample_size(method, m, layers)
     seed = _fresh_seed() if seed is None else check_int(seed, "seed", low=0)
-    u, blocks, layer_idx = uniforms(method, size, 1, np.random.default_rng(seed))
+    u, layer_idx = uniforms(method, size, 1, np.random.default_rng(seed))
     return SampleBatch(
-        method, u[0], dist.quantile(u[0]), blocks[0], seed,
+        method, u[0], dist.quantile(u[0]), seed,
         layers=size if method == "lqs" else None,
         layer_index=None if layer_idx is None else layer_idx[0],
     )
@@ -288,8 +285,7 @@ def sample(
 def sample_iid(dist: Distribution, m: int, seed: int | None = None) -> SampleBatch:
     """Draw m independent values from ``dist`` by inverse transform.
 
-    Uniforms are drawn directly on (0, 1); block indices ceil(m*U) are
-    recorded so block occupancies can be compared with stratified samples.
+    Uniforms are drawn directly on (0, 1); a block may hold several values.
     """
     return sample(dist, "iid", m, seed)
 

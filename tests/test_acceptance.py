@@ -151,7 +151,7 @@ def test_criterion_4_marginal_law_check():
         if method == "qs":
             u, _ = qs_uniform_batches(30, reps, rng)
         else:
-            u, _, _ = lqs_uniform_batches((18, 9, 3), reps, rng)
+            u, _ = lqs_uniform_batches((18, 9, 3), reps, rng)
         pooled_u = u.ravel()
         for name, dist in laws:
             values = dist.quantile(pooled_u)

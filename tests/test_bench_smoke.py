@@ -1,8 +1,9 @@
 """The benchmark under bench/ still runs and its output checks still pass.
 
 Imports bench/workloads.py and bench/tracing.py in-process, runs every
-workload's smoke pool, one traced pass, and one full-size tail_batches pass
-(eight sample_qs/sample_lqs batches of m = 2000 on shapes far below 1).
+workload's smoke pool, one traced pass of three of them, and one full-size
+tail_batches pass (eight sample_qs/sample_lqs batches of m = 2000 on shapes
+far below 1).
 """
 
 import math
@@ -42,15 +43,27 @@ def test_full_size_tail_batches_pass_their_checks():
     assert run_checked(ops, tracing.NullTracer()) == []
 
 
-def test_traced_pass_records_every_layer():
+# Uniform draws of one traced smoke pass at seed 1: (calls, points).  The
+# tracer counts a call of a wrapped generator name and the size of the first
+# array it returns, so a dispatch that bypasses those names, or a result
+# without the uniforms first, changes the counts.
+UNIFORM_DRAWS = {"is_study": (240, 2400), "uniform_checks": (5, 60_000),
+                 "tail_batches": (8, 160)}
+
+
+@pytest.mark.parametrize("workload", sorted(UNIFORM_DRAWS))
+def test_traced_pass_records_every_layer(workload):
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
     try:
-        failed = run_checked(workloads.build("is_study", 1, 0, smoke=True), tracer)
+        failed = run_checked(workloads.build(workload, 1, 0, smoke=True), tracer)
     finally:
         restore()
     assert failed == []
     metrics = tracing.layer_metrics(tracer.spans, passes=1)
-    assert metrics["distributions.quantile_calls"][0] > 0
-    assert metrics["estimators.replicates"][0] > 0
+    draws = (metrics["sampling.uniform_calls"][0], metrics["sampling.uniform_points"][0])
+    assert draws == UNIFORM_DRAWS[workload]
+    if workload == "is_study":
+        assert metrics["distributions.quantile_calls"][0] > 0
+        assert metrics["estimators.replicates"][0] > 0
     assert all(math.isfinite(value) for value, _ in metrics.values())

@@ -182,7 +182,7 @@ class TestSortedUniformAdherence:
         mads = {}
         u, _ = iid_uniform_batches(m, reps, rng)
         mads["iid"] = np.abs(np.sort(u, axis=1) - targets).mean()
-        u, _, _ = lqs_uniform_batches((18, 9, 3), reps, rng)
+        u, _ = lqs_uniform_batches((18, 9, 3), reps, rng)
         mads["lqs"] = np.abs(np.sort(u, axis=1) - targets).mean()
         u, _ = qs_uniform_batches(m, reps, rng)
         mads["qs"] = np.abs(np.sort(u, axis=1) - targets).mean()

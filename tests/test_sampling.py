@@ -14,6 +14,7 @@ from qstrat.distributions import Beta, Discrete, Gamma, Normal, Uniform01
 from qstrat.errors import DomainError
 from qstrat.sampling import (
     LayerSpec,
+    _qs_place,
     iid_uniform_batches,
     lqs_uniform_batches,
     qs_uniform_batches,
@@ -52,17 +53,22 @@ def pair_correlation(u: np.ndarray) -> tuple[float, float]:
     return corr, se
 
 
+def qs_blocks(m, reps, rng):
+    """The blocks ceil(m * U) of a (reps, m) QS batch."""
+    return np.ceil(m * qs_uniform_batches(m, reps, rng)[0]).astype(np.int64)
+
+
 class TestQsBlockPermutations:
     """Each QS row's block indices are a uniformly random permutation."""
 
     def test_single_element(self):
         rng = np.random.default_rng(0)
-        assert qs_uniform_batches(1, 1, rng)[1].tolist() == [[1]]
+        assert qs_blocks(1, 1, rng).tolist() == [[1]]
 
     def test_is_permutation(self):
         rng = np.random.default_rng(1)
         for m in (2, 3, 5, 17):
-            blocks = qs_uniform_batches(m, 4, rng)[1]
+            blocks = qs_blocks(m, 4, rng)
             assert np.array_equal(np.sort(blocks, axis=1), np.tile(np.arange(1, m + 1), (4, 1)))
 
     def test_all_six_permutations_uniform(self):
@@ -70,7 +76,7 @@ class TestQsBlockPermutations:
         rng = np.random.default_rng(2)
         draws = 60_000
         counts = {p: 0 for p in itertools.permutations((1, 2, 3))}
-        for row in qs_uniform_batches(3, draws, rng)[1].tolist():
+        for row in qs_blocks(3, draws, rng).tolist():
             counts[tuple(row)] += 1
         freqs = np.array(list(counts.values())) / draws
         assert np.all(np.abs(freqs - 1 / 6) <= 0.01)
@@ -102,7 +108,8 @@ class TestIidSampling:
         # Pooled block occupancies over replicates: uniform chi-square.
         m, reps = 10, 10_000
         rng = np.random.default_rng(14)
-        _, blocks = iid_uniform_batches(m, reps, rng)
+        u, _ = iid_uniform_batches(m, reps, rng)
+        blocks = np.ceil(m * u).astype(np.int64)
         counts = np.bincount(blocks.ravel(), minlength=m + 1)[1:]
         _, p_value = stats.chisquare(counts)
         assert p_value > KS_ALPHA
@@ -176,13 +183,13 @@ class TestLqsSampling:
 
     def test_unit_layer_uniforms_are_uncorrelated(self):
         rng = np.random.default_rng(33)
-        u, _, _ = lqs_uniform_batches((1,) * 6, 200_000, rng)
+        u, _ = lqs_uniform_batches((1,) * 6, 200_000, rng)
         corr, se = pair_correlation(u)
         assert abs(corr) <= 4 * se
 
     def test_layered_pair_correlation(self):
         rng = np.random.default_rng(34)
-        u, _, _ = lqs_uniform_batches((18, 9, 3), 100_000, rng)
+        u, _ = lqs_uniform_batches((18, 9, 3), 100_000, rng)
         corr, _ = pair_correlation(u)
         assert corr == pytest.approx(-0.0339, abs=0.003)
 
@@ -252,7 +259,7 @@ class TestMarginalLaw:
         elif method == "qs":
             u, _ = qs_uniform_batches(m, reps, rng)
         else:
-            u, _, _ = lqs_uniform_batches((18, 9, 3), reps, rng)
+            u, _ = lqs_uniform_batches((18, 9, 3), reps, rng)
         pooled = dist.quantile(u.ravel())
         _, p_value = stats.kstest(pooled, ref_cdf)
         assert p_value > KS_ALPHA
@@ -266,7 +273,7 @@ class TestMarginalLaw:
         elif method == "qs":
             u, _ = qs_uniform_batches(m, reps, rng)
         else:
-            u, _, _ = lqs_uniform_batches((18, 9, 3), reps, rng)
+            u, _ = lqs_uniform_batches((18, 9, 3), reps, rng)
         pooled = DISCRETE.quantile(u.ravel())
         counts = np.array([np.sum(pooled == x) for x in DISCRETE.points])
         assert counts.sum() == pooled.size
@@ -334,7 +341,8 @@ class TestUniformsDispatch:
 
     @pytest.mark.parametrize("method,size", [("iid", 12), ("qs", 12), ("lqs", (6, 4, 2))])
     def test_single_samples_are_the_first_batch_row(self, method, size):
-        u, blocks, layer_idx = uniforms(method, size, 1, np.random.default_rng(8))
+        u, layer_idx = uniforms(method, size, 1, np.random.default_rng(8))
+        blocks = reference_uniforms(method, size, 1, np.random.default_rng(8))[1]
         batch = {"iid": sample_iid, "qs": sample_qs, "lqs": sample_lqs}[method](
             Gamma(2, 5), size, seed=8
         )
@@ -387,7 +395,8 @@ SIZE_REPS = [(size, reps) for size in SIZES for reps in (1, 7, 20_000)
 
 class TestInPlaceGenerators:
     """The generators fill their outputs in place; the arrays they return
-    are the reference's, bit for bit, and C-ordered."""
+    are the reference's, bit for bit, and C-ordered, and the blocks
+    ceil(m_k * U) are the reference's block indices."""
 
     @pytest.mark.parametrize("method", ["iid", "qs", "lqs"])
     @pytest.mark.parametrize("size,reps", SIZE_REPS)
@@ -395,9 +404,11 @@ class TestInPlaceGenerators:
         m = int(np.sum(size))
         size = size if method == "lqs" else m
         out = uniforms(method, size, reps, np.random.default_rng(reps + m))
-        expected = reference_uniforms(method, size, reps, np.random.default_rng(reps + m))
-        assert (out[2] is None) == (method != "lqs")
-        for got, want in zip(out, expected):
+        u, blocks, layer_idx = reference_uniforms(
+            method, size, reps, np.random.default_rng(reps + m))
+        assert len(out) == 2
+        assert (out[1] is None) == (layer_idx is None) == (method != "lqs")
+        for got, want in zip(out, (u, layer_idx)):
             if want is None:
                 continue
             assert got.shape == (reps, m)
@@ -405,16 +416,18 @@ class TestInPlaceGenerators:
             np.testing.assert_array_equal(got, want)
             assert got.flags.c_contiguous
         assert out[0].dtype == np.float64
-        assert all(x.dtype == np.int64 for x in out[1:] if x is not None)
+        assert out[1] is None or out[1].dtype == np.int64
+        sizes = m if layer_idx is None else np.atleast_1d(size)[layer_idx - 1]
+        np.testing.assert_array_equal(np.ceil(sizes * out[0]).astype(np.int64), blocks)
 
     @pytest.mark.parametrize("method,size,limit", [
-        ("qs", 30, 20), ("lqs", (18, 9, 3), 44), ("iid", 30, 26),
+        ("qs", 30, 20), ("lqs", (18, 9, 3), 28), ("iid", 30, 12),
     ])
     def test_traced_peak_bytes_per_cell(self, method, size, limit):
-        # Outputs are 16 B a cell for IID and QS and 24 B for LQS.  The
-        # in-place generators peak at 24 (IID), 16 (QS) and 40 B (LQS: the
-        # unshuffled u and blocks and the shuffle index live through the
-        # gathers); the generators before them peaked at 24, 32 and 64 B.
+        # Outputs are 8 B a cell for IID and QS and 16 B for LQS.  The
+        # generators peak at 9 (IID: u and its zero mask), 16 (QS: u and the
+        # permutations) and 25 B (LQS: u, the shuffle index and the gathered
+        # u, then the layer index).
         reps, m = 20_000, 30
         rng = np.random.default_rng(3)
         tracing = tracemalloc.is_tracing()
@@ -430,6 +443,50 @@ class TestInPlaceGenerators:
                 tracemalloc.stop()
         assert out[0].shape == (reps, m)
         assert peak / (reps * m) <= limit
+
+
+class TestBlockEdges:
+    @pytest.mark.parametrize("r", [0.0, 1.0 - 2.0 ** -53])
+    def test_extreme_offsets_stay_inside_their_blocks(self, r):
+        # rng.random can return either end of [0, 1 - 2^-53].  With either
+        # offset, every U = (s - r)/m must lie strictly inside (0, 1) and its
+        # block ceil(m * U) must be s, for every s <= m <= 2000.
+        misplaced = []
+        for m in range(1, 2001):
+            perms = np.arange(1, m + 1, dtype=np.int64)
+            u = np.full(m, r)
+            _qs_place(perms, u, m, out=u)
+            if not (np.all((u > 0.0) & (u < 1.0)) and np.array_equal(np.ceil(m * u), perms)):
+                misplaced.append(m)
+        assert misplaced == []
+
+
+class TestLqsReductions:
+    """Pooled over replicates, the k-th sorted uniform of one-layer LQS has
+    the QS law Uniform((k-1)/m, k/m], and that of all-unit LQS the IID law
+    Beta(k, m-k+1).  The m KS tests of a law run at KS_ALPHA / m each, so
+    the law is rejected by chance with probability at most KS_ALPHA."""
+
+    M, REPS = 6, 4000
+
+    def sorted_uniforms(self, layers, seed):
+        u, _ = lqs_uniform_batches(layers, self.REPS, np.random.default_rng(seed))
+        u.sort(axis=1)
+        return u
+
+    def test_one_layer_has_the_qs_law(self):
+        m = self.M
+        u = self.sorted_uniforms((m,), seed=611)
+        for k in range(1, m + 1):
+            law = stats.uniform((k - 1) / m, 1 / m)
+            assert stats.kstest(u[:, k - 1], law.cdf).pvalue > KS_ALPHA / m, k
+
+    def test_unit_layers_have_the_iid_law(self):
+        m = self.M
+        u = self.sorted_uniforms((1,) * m, seed=612)
+        for k in range(1, m + 1):
+            law = stats.beta(k, m - k + 1)
+            assert stats.kstest(u[:, k - 1], law.cdf).pvalue > KS_ALPHA / m, k
 
 
 class TestCustomQuantileSampling:
