@@ -103,12 +103,12 @@ def _cmd_sample(args) -> int:
     else:
         columns = {
             "index": list(range(1, batch.m + 1)),
-            "block": batch.blocks.tolist(),
-            "uniform": batch.uniforms.tolist(),
-            "value": batch.values.tolist(),
+            "block": batch.blocks,
+            "uniform": batch.uniforms,
+            "value": batch.values,
         }
         if batch.layer_index is not None:
-            columns["layer"] = batch.layer_index.tolist()
+            columns["layer"] = batch.layer_index
         _write_output(rows_to_csv(Table(columns)), args.out)
     return 0
 

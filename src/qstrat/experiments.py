@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
@@ -121,17 +120,20 @@ class ExperimentConfig:
 class Table(Sequence):
     """Read-only sequence of row dicts backed by equal-length columns.
 
-    ``columns`` maps each column name (a string) to a list of its values,
-    in header order.  ``table[i]`` is row i as a fresh dict, a slice is a
-    Table of those rows, and iteration yields every row in turn.
+    ``columns`` maps each column name (a string) to a list or 1-D numpy
+    array of its values, in header order.  ``table[i]`` is row i as a fresh
+    dict of Python values, a slice is a Table of those rows, and iteration
+    yields every row in turn.
     """
 
     __slots__ = ("columns", "_n")
 
-    def __init__(self, columns: dict[str, list] | None = None):
+    def __init__(self, columns: dict[str, list | np.ndarray] | None = None):
         columns = dict(columns or {})
         if not all(isinstance(name, str) for name in columns):
             raise DomainError(f"column names must be strings, got {list(columns)}")
+        if any(isinstance(values, np.ndarray) and values.ndim != 1 for values in columns.values()):
+            raise DomainError("a numpy column must be 1-D")
         lengths = {len(values) for values in columns.values()}
         if len(lengths) > 1:
             raise DomainError(f"columns must have equal lengths, got {sorted(lengths)}")
@@ -152,12 +154,19 @@ class Table(Sequence):
         if isinstance(index, slice):
             return Table({name: values[index] for name, values in self.columns.items()})
         i = range(self._n)[index]
-        return {name: values[i] for name, values in self.columns.items()}
+        return next(iter(self[i:i + 1]))
 
     def __iter__(self):
         names = list(self.columns)
-        for values in zip(*self.columns.values()):
+        for values in _python_rows(list(self.columns.values()), self._n):
             yield dict(zip(names, values))
+
+
+def _python_rows(columns: Sequence, n: int):
+    """The n rows of the columns as tuples of Python values, a block at a time."""
+    for start in range(0, n, _BLOCK_ROWS):
+        block = [values[start:start + _BLOCK_ROWS] for values in columns]
+        yield from zip(*(v.tolist() if isinstance(v, np.ndarray) else v for v in block))
 
 
 @dataclass
@@ -235,17 +244,9 @@ def run_moment_check(cfg: ExperimentConfig) -> ExperimentResult:
         rows.append(_z_row(method, "variance", 1.0 / 12.0, row_sq))
         cov_row = _z_row(method, "pair_covariance", mom.pair_covariance, pair)
         rows.append(cov_row)
-        rows.append(
-            {
-                "method": method,
-                "statistic": "pair_correlation",
-                "theory": mom.pair_correlation,
-                "empirical": 12.0 * cov_row["empirical"],
-                "std_error": 12.0 * cov_row["std_error"],
-                "z": cov_row["z"],
-                "passed": cov_row["passed"],
-            }
-        )
+        rows.append(dict(cov_row, statistic="pair_correlation", theory=mom.pair_correlation,
+                         empirical=12.0 * cov_row["empirical"],
+                         std_error=12.0 * cov_row["std_error"]))
     report = {
         "experiment": "moment_check",
         "m": cfg.m,
@@ -269,24 +270,17 @@ def run_qq_export(cfg: ExperimentConfig) -> ExperimentResult:
     reps = cfg.resolved_replicates()
     m = cfg.m
     p_iid, p_qs = theory._quantile_target_arrays(m)
-    names = ("method", "replicate", "k", "theoretical_quantile", "sample_order_stat")
-    columns = {name: [] for name in names}
-    replicates = np.repeat(np.arange(1, reps + 1), m).tolist()
-    for method in _method_list(cfg):
-        u = _uniform_batches(method, cfg, reps)
-        if method == "qs":
-            # One uniform per quantile block, checked before export.
-            edges = np.ceil(m * u).astype(np.int64)
-            if not np.all(np.sort(edges, axis=1) == np.arange(1, m + 1)):
-                raise AssertionError("QS block coverage violated")
-        targets = dist.quantile(p_iid if method == "iid" else p_qs)
-        values = np.sort(dist.quantile(u), axis=1)
-        columns["method"] += [method] * (reps * m)
-        columns["replicate"] += replicates
-        columns["k"] += list(range(1, m + 1)) * reps
-        columns["theoretical_quantile"] += np.tile(targets, reps).tolist()
-        columns["sample_order_stat"] += values.ravel().tolist()
-    rows = Table(columns)
+    methods = _method_list(cfg)
+    targets = [dist.quantile(p_iid if method == "iid" else p_qs) for method in methods]
+    values = [np.sort(dist.quantile(_uniform_batches(method, cfg, reps)), axis=1).ravel()
+              for method in methods]
+    rows = Table({
+        "method": list(chain.from_iterable([method] * (reps * m) for method in methods)),
+        "replicate": np.tile(np.repeat(np.arange(1, reps + 1, dtype=np.int64), m), len(methods)),
+        "k": np.tile(np.arange(1, m + 1, dtype=np.int64), reps * len(methods)),
+        "theoretical_quantile": np.concatenate([np.tile(t, reps) for t in targets]),
+        "sample_order_stat": np.concatenate(values),
+    })
     report = {
         "experiment": "qq_export",
         "dist": cfg.dist,
@@ -359,6 +353,8 @@ def run_spacing_check(cfg: ExperimentConfig) -> ExperimentResult:
             sq = (d - law.mean) ** 2
             var_emp = float(sq.mean())
             var_se = float(sq.std(ddof=1) / np.sqrt(reps))
+            mean_z = (mean_emp - law.mean) / mean_se
+            var_z = (var_emp - law.variance) / var_se
             rows.append(
                 {
                     "method": method,
@@ -367,18 +363,15 @@ def run_spacing_check(cfg: ExperimentConfig) -> ExperimentResult:
                     "mean_theory": law.mean,
                     "mean_empirical": mean_emp,
                     "mean_std_error": mean_se,
-                    "mean_z": (mean_emp - law.mean) / mean_se,
+                    "mean_z": mean_z,
                     "var_theory": law.variance,
                     "var_empirical": var_emp,
                     "var_std_error": var_se,
-                    "var_z": (var_emp - law.variance) / var_se,
+                    "var_z": var_z,
                     "ks_statistic": float(ks_stat),
                     "ks_p_value": float(ks_p),
-                    "passed": bool(
-                        ks_p > KS_ALPHA
-                        and abs((mean_emp - law.mean) / mean_se) <= Z_LIMIT
-                        and abs((var_emp - law.variance) / var_se) <= Z_LIMIT
-                    ),
+                    "passed": bool(ks_p > KS_ALPHA and abs(mean_z) <= Z_LIMIT
+                                   and abs(var_z) <= Z_LIMIT),
                 }
             )
     report = {
@@ -476,22 +469,29 @@ def _json_cell(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", _FIELD_INDENT)
 
 
-def _format_floats(values: list, fmt) -> list[str]:
-    """``fmt(v)`` for each float v, computed once per distinct nonzero value
-    of a tiled column.  Equal nonzero floats have the same bits; 0.0 == -0.0
-    do not, so zeros are formatted one by one."""
-    text = {v: fmt(v) for v in set(values)}
-    return [text[v] if v else fmt(v) for v in values]
+def _column(values) -> tuple[set, Sequence]:
+    """A column's set of cell types, read from the dtype of an int64 or float64
+    array and else by a scan, with its cells (floats as a float64 array)."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.int64:
+            return {int}, values
+        if values.dtype == np.float64:
+            return {float}, values
+        values = values.tolist()
+    kinds = set(map(type, values))
+    return kinds, np.array(values, dtype=np.float64) if kinds == {float} else values
 
 
-def _float_cells(values: list, conversion: str) -> tuple[str, list]:
-    """The conversion and cells of a column of floats: the template formats
+def _float_cells(values: np.ndarray, conversion: str) -> tuple[str, Sequence]:
+    """The conversion and cells of a float64 column: the template formats
     them itself with ``conversion``, unless at least half the cells repeat,
-    when each distinct value is formatted once and read with ``%s``."""
-    # np.unique counts the distinct values faster than a set.
-    if 2 * len(np.unique(values)) <= len(values):
-        return "%s", _format_floats(values, conversion.__mod__)
-    return conversion, values
+    when each distinct value is formatted once and read with ``%s``.  Values
+    are told apart by their bits, so 0.0 and -0.0 stay distinct."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if 2 * bits.size > values.size:
+        return conversion, values
+    text = [conversion % v for v in bits.view(np.float64).tolist()]
+    return "%s", np.array(text, dtype=object)[inverse]
 
 
 def _csv_text(text: str, where: str) -> str:
@@ -522,11 +522,11 @@ def _csv_quoted(name: str, strings: list[str], lone: bool) -> list[str]:
     return [quoted[value] for value in strings]
 
 
-def _csv_plan(name: str, values: list, lone: bool) -> tuple[str, Iterable]:
+def _csv_plan(name: str, values, lone: bool) -> tuple[str, Sequence]:
     """The % conversion of column ``name`` in the CSV row template and the
     cells it reads: ``%d`` for ints, ``%.9g`` for floats, and quoted strings
     otherwise (``lone``: the table has this one column)."""
-    kinds = set(map(type, values))
+    kinds, values = _column(values)
     if kinds == {int}:
         return "%d", values
     if kinds == {float}:
@@ -535,26 +535,26 @@ def _csv_plan(name: str, values: list, lone: bool) -> tuple[str, Iterable]:
     return "%s", _csv_quoted(name, strings, lone)
 
 
-def _json_plan(values: list) -> tuple[str, Iterable]:
+def _json_plan(values) -> tuple[str, Sequence]:
     """The % conversion of one column in the JSON row template and the cells
     it reads: ``%d`` for ints, ``%r`` for finite floats, each distinct
     string encoded once, and ``_json_cell`` text for anything else (bools,
     None, mixed, nested, NaN or inf)."""
-    kinds = set(map(type, values))
+    kinds, values = _column(values)
     if kinds == {int}:
         return "%d", values
-    if kinds == {float} and all(map(math.isfinite, values)):
+    if kinds == {float} and np.isfinite(values).all():
         return _float_cells(values, "%r")
     if kinds == {str}:
         text = {v: json.encoder.encode_basestring_ascii(v) for v in set(values)}
-        return "%s", map(text.__getitem__, values)
-    return "%s", map(_json_cell, values)
+        return "%s", list(map(text.__getitem__, values))
+    return "%s", list(map(_json_cell, values))
 
 
 def _fill_rows(row: str, sep: str, cells: Sequence, n: int) -> list[str]:
-    """The n rows, each ``row % cells``, separated by ``sep``, in blocks of
-    up to _BLOCK_ROWS rows formatted by one template each."""
-    rows = zip(*cells)
+    """The n rows, each ``row %`` the Python values of ``cells``, separated by
+    ``sep``, in blocks of up to _BLOCK_ROWS rows formatted by one template each."""
+    rows = _python_rows(cells, n)
     full = (sep + row) * _BLOCK_ROWS
     blocks = []
     for start in range(0, n, _BLOCK_ROWS):

@@ -241,7 +241,8 @@ def lqs_uniform_batches(layers, reps: int, rng: np.random.Generator):
 
 
 def uniforms(method: str, size, reps: int, rng: np.random.Generator):
-    """Uniforms of shape (reps, m) drawn by ``method``, with the LQS layers.
+    """Uniforms of shape (reps, m) drawn by ``method`` (any case, stripped),
+    with the LQS layers.
 
     ``size`` is the sample size m for "iid" and "qs", and the layer sizes
     for "lqs"; ``reps`` is an integer >= 1.  Returns (uniforms, layer_index),
@@ -252,9 +253,7 @@ def uniforms(method: str, size, reps: int, rng: np.random.Generator):
     """
     generators = {"iid": iid_uniform_batches, "qs": qs_uniform_batches,
                   "lqs": lqs_uniform_batches}
-    if method not in generators:
-        raise DomainError(f"method must be one of {METHODS}, got {method!r}")
-    return generators[method](size, reps, rng)
+    return generators[check_name(method, METHODS, "method")](size, reps, rng)
 
 
 # ---------------------------------------------------------------------------

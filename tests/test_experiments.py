@@ -348,6 +348,7 @@ class TestRenderersMatchReference:
         )
 
     @pytest.mark.parametrize("method,size", [("iid", ("--m", "9")), ("qs", ("--m", "9")),
+                                             ("qs", ("--m", "300")),
                                              ("lqs", ("--layers", "2,3,4"))])
     def test_sample_csv(self, capsys, method, size):
         assert main(["sample", "--dist", "normal", "--params", "1,2", "--method", method,
@@ -355,7 +356,7 @@ class TestRenderersMatchReference:
         out = capsys.readouterr().out
         layers = (2, 3, 4) if method == "lqs" else None
         batch = sample(distribution_from_name("normal", (1, 2)), method,
-                       None if layers else 9, seed=31, layers=layers)
+                       None if layers else int(size[1]), seed=31, layers=layers)
         rows = []
         for i in range(batch.m):
             row = {"index": i + 1, "block": int(batch.blocks[i]),
@@ -467,6 +468,54 @@ class TestRenderersAcrossBlocks:
                      _reference_json(result.report, rows, include_rows=False))
 
 
+def _typed(columns: dict) -> dict:
+    """``columns`` with each column of ints that fit int64 as an int64 array
+    and each column of floats (numpy's included) as a float64 array."""
+    typed = dict(columns)
+    for name, values in columns.items():
+        kinds = set(map(type, values))
+        if kinds == {int} and all(-2 ** 63 <= v < 2 ** 63 for v in values):
+            typed[name] = np.array(values, dtype=np.int64)
+        elif kinds <= {float, np.float64}:
+            typed[name] = np.array(values, dtype=np.float64)
+    return typed
+
+
+class TestArrayColumns:
+    """Columns given as numpy arrays render the bytes of their lists."""
+
+    def assert_renders_like_lists(self, columns, arrays):
+        listed, typed = _odd_result(columns), _odd_result(arrays)
+        _assert_same(rows_to_csv(typed.rows), rows_to_csv(listed.rows))
+        _assert_same(report_to_json(typed), report_to_json(listed))
+        _assert_same(report_to_json(typed), _reference_json(typed.report, list(typed.rows)))
+
+    def test_odd_columns(self):
+        arrays = _typed(ODD_COLUMNS)
+        assert sum(isinstance(v, np.ndarray) for v in arrays.values()) == 7
+        self.assert_renders_like_lists(ODD_COLUMNS, arrays)
+        for name, values in ODD_COLUMNS.items():
+            self.assert_renders_like_lists({name: values}, {name: arrays[name]})
+
+    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   3 * _BLOCK_ROWS + 7])
+    def test_block_tables(self, n):
+        columns = _block_table(n)
+        arrays = _typed(columns)
+        assert arrays["int"].dtype == np.int64 and arrays["zeros"].dtype == np.float64
+        self.assert_renders_like_lists(columns, arrays)
+        for name, values in columns.items():
+            self.assert_renders_like_lists({name: values}, {name: arrays[name]})
+
+    def test_bool_and_str_arrays(self):
+        columns = {"bool": ODD_COLUMNS["bool"], "text": ODD_COLUMNS["text"]}
+        arrays = {name: np.array(values) for name, values in columns.items()}
+        assert arrays["bool"].dtype == bool and arrays["text"].dtype.kind == "U"
+        self.assert_renders_like_lists(columns, arrays)
+        for name in columns:
+            self.assert_renders_like_lists({name: columns[name]}, {name: arrays[name]})
+
+
 def _float_from_bits(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
@@ -529,7 +578,18 @@ class TestTable:
         assert list(t.columns) == ["b", "a"] and t.columns["a"] == [2, 3]
         assert len(Table.from_rows([])) == 0
 
+    def test_array_columns_yield_python_values(self):
+        t = Table({"i": np.arange(3, dtype=np.int64), "x": np.array([0.5, -0.0, 2.0]),
+                   "b": np.array([True, False, True]), "s": ["a", "b", "c"]})
+        assert t[1] == {"i": 1, "x": -0.0, "b": False, "s": "b"}
+        for row in [*t, t[-1], *t[1:]]:
+            assert [type(v) for v in row.values()] == [int, float, bool, str]
+        assert isinstance(t[1:].columns["x"], np.ndarray)
+        assert list(t[::-1]) == list(t)[::-1]
+
     def test_bad_columns_rejected(self):
+        with pytest.raises(DomainError, match="1-D"):
+            Table({"a": np.zeros((2, 2))})
         with pytest.raises(DomainError, match="equal lengths"):
             Table({"a": [1, 2], "b": [1]})
         with pytest.raises(DomainError, match="strings"):
@@ -561,7 +621,11 @@ class TestRowsMatchDictRows:
         assert rows[23] == {"method": "lqs", "replicate": 2, "k": 4,
                             "theoretical_quantile": 0.7214047072940364,
                             "sample_order_stat": 0.7857350180197689}
-        assert all(type(v) is int for v in rows.columns["k"] + rows.columns["replicate"])
+        assert rows.columns["k"].dtype == np.int64 == rows.columns["replicate"].dtype
+        # Rows hold Python values, by index and by iteration.
+        for row in [*rows, *(rows[i] for i in range(len(rows)))]:
+            assert type(row["k"]) is int and type(row["replicate"]) is int
+            assert type(row["sample_order_stat"]) is float
 
     def test_importance_study(self):
         rows = run_experiment(cfg(experiment="importance_study", example="b", m=6,

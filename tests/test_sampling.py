@@ -355,8 +355,18 @@ class TestUniformsDispatch:
             assert batch.layers == LayerSpec(size)
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="method must be one of"):
             uniforms("sobol", 5, 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("given,method,size", [("QS", "qs", 9), (" Lqs ", "lqs", (4, 5)),
+                                                   ("IID", "iid", 9)])
+    def test_method_names_ignore_case_and_spaces(self, given, method, size):
+        u, layer_idx = uniforms(given, size, 3, np.random.default_rng(5))
+        ref_u, ref_idx = uniforms(method, size, 3, np.random.default_rng(5))
+        assert u.tobytes() == ref_u.tobytes()
+        assert (layer_idx is None) == (ref_idx is None)
+        if layer_idx is not None:
+            np.testing.assert_array_equal(layer_idx, ref_idx)
 
 
 def reference_uniforms(method, size, reps, rng):
