@@ -55,6 +55,10 @@ DEFAULT_REPLICATES = {
     "importance_study": 1_000,
 }
 
+# Experiments that report a sample variance or standard error across their
+# replicates, which one replicate leaves NaN or infinite (not valid JSON).
+_SPREAD_EXPERIMENTS = ("moment_check", "spacing_check", "importance_study")
+
 # Fixed stream indices per sampling method, so adding or dropping a method
 # never shifts another method's random numbers.
 _METHOD_STREAM = {"iid": 0, "qs": 1, "lqs": 2}
@@ -72,8 +76,9 @@ class ExperimentConfig:
     the seed an integer >= 0, stored as Python ints (layers and ell as
     tuples; one lag may be given bare); the experiment, format and example
     names are stored in lower case.  ``qq_export`` builds its distribution
-    once to check dist and params (kept as given, in a tuple).  A bad field
-    raises DomainError.
+    once to check dist and params (kept as given, in a tuple).
+    moment_check, spacing_check and importance_study report a spread across
+    replicates and need replicates >= 2.  A bad field raises DomainError.
     """
 
     experiment: str
@@ -102,7 +107,9 @@ class ExperimentConfig:
         if self.layers is not None:
             checked["layers"] = sample_size("lqs", m, self.layers)[1].sizes
         if self.replicates is not None:
-            checked["replicates"] = check_int(self.replicates, "replicates")
+            low = 2 if experiment in _SPREAD_EXPERIMENTS else 1
+            checked["replicates"] = check_int(self.replicates, f"replicates for {experiment}",
+                                              low=low)
         if experiment == "importance_study":
             checked["example"] = check_name(self.example, BENCHMARKS, "example")
         if experiment == "qq_export":

@@ -152,6 +152,21 @@ class TestExperimentCommand:
         assert code == 1 and out == ""
         assert "normal parameters must be a list of numbers, got '12'" in err
 
+    @pytest.mark.parametrize("name", ["importance_study", "moment_check", "spacing_check"])
+    def test_one_replicate_of_a_spread_exits_one(self, capsys, name):
+        # One replicate has no sample variance: the report would hold NaN or
+        # Infinity, which is not JSON.
+        code, out, err = run_cli(capsys, "experiment", "--name", name, "--replicates", "1",
+                                 "--format", "json")
+        assert code == 1 and out == ""
+        assert f"replicates for {name} must be >= 2, got 1" in err
+
+    def test_one_replicate_of_qq_export_is_valid_json(self, capsys):
+        code, out, _ = run_cli(capsys, "experiment", "--name", "qq_export", "--m", "4",
+                               "--replicates", "1", "--format", "json")
+        assert code == 0
+        json.loads(out, parse_constant=pytest.fail)
+
     def test_missing_name_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "experiment")
         assert code == 1 and "--name" in err

@@ -193,6 +193,29 @@ class TestTailQuantiles:
             x = dist.quantile(p + np.arange(-2000, 2001) * np.spacing(p))
             assert np.all(x[:-1] <= x[1:] * (1.0 + 1e-12)), p
 
+    @pytest.mark.parametrize("rate", [1.0, 7.0])
+    @pytest.mark.parametrize("shape", [0.003, 0.05, 0.3, 0.9])
+    def test_gamma_upper_seam_below_unit_shape(self, shape, rate):
+        # Below unit shape the upper tail switches from gammaincinv(p) to
+        # gammainccinv(1 - p) at 1 - p = 2^-20: Q is exactly ordered over
+        # 64 consecutive doubles on each side, and accurate on both.
+        seam = 1.0 - 2.0 ** -20
+        p = seam + np.arange(-64, 65) * np.spacing(seam)
+        dist = Gamma(shape, rate)
+        x = dist.quantile(p)
+        assert np.all(np.diff(x) >= 0)
+        assert tail_round_trip_ok(dist, p, x)
+
+    @pytest.mark.parametrize("shape, rate", [(1.0, 3.0), (2.0, 5.0)])
+    def test_gamma_upper_tail_unchanged_from_unit_shape(self, shape, rate):
+        # At shape >= 1 the whole upper half stays on gammainccinv, clipped at
+        # the median, bit for bit.
+        dist = Gamma(shape, rate)
+        p = np.concatenate([np.linspace(0.5, 1.0, 2001)[1:-1],
+                            1.0 - np.logspace(-16, -1, 200)])
+        expected = np.maximum(special.gammainccinv(shape, 1.0 - p) / rate, dist.quantile(0.5))
+        assert np.array_equal(dist.quantile(p), expected)
+
     def test_positive_where_the_root_underflows(self):
         # Q(p) of Gamma(0.01, 3) is below 5e-324 for every p under ~6e-4.
         q = Gamma(0.01, 3.0).quantile(np.logspace(-300, -3, 3000))
