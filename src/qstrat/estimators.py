@@ -56,8 +56,10 @@ class EstimateSummary:
     """Replicated estimates of one integral with their summary statistics.
 
     ``std_err`` is the sample standard deviation of the replicate estimates;
-    ``rmse`` is the root of the mean squared deviation from the true value
-    (present only when the problem's true value is known).
+    it is NaN for a single replicate, whose spread is undefined (0.0 would
+    read as an exact estimate).  ``rmse`` is the root of the mean squared
+    deviation from the true value (present only when the problem's true
+    value is known).
     """
 
     estimates: np.ndarray
@@ -135,7 +137,9 @@ def estimate_replicates(
     Replicate r draws its sample from the child seed derived from (seed, r),
     so results are reproducible and do not depend on the order in which
     replicates run.  Replicates are evaluated in chunks of stacked rows, one
-    quantile and one weight call per chunk; every quantile depends only on
+    generator, one quantile and one weight call per chunk: the generator
+    draws row r from the Generator of child seed r alone, so the chunk's
+    uniforms are those of one-replicate calls.  Every quantile depends only on
     its own probability, so each estimate is bit for bit the one
     :func:`importance_estimate` gives for that child seed.  A chunk holds
     at most 2^14 points (or one row, if m is larger), so memory stays
@@ -149,7 +153,7 @@ def estimate_replicates(
     seeds = (spawn_seed(seed, r) for r in range(replicates))
     estimates = _estimates(prob, method, size, seeds, replicates)
     mean = float(np.mean(estimates))
-    std_err = float(np.std(estimates, ddof=1)) if replicates > 1 else 0.0
+    std_err = float(np.std(estimates, ddof=1)) if replicates > 1 else math.nan
     rmse = None
     if prob.true_value is not None:
         rmse = float(np.sqrt(np.mean((estimates - prob.true_value) ** 2)))
@@ -172,15 +176,14 @@ def _size_m(method: str, size) -> int:
 
 def _estimates(prob: ImportanceProblem, method: str, size, seeds, count: int):
     """Importance estimates from ``count`` samples of ``size``, the r-th drawn
-    from ``default_rng`` of the r-th of ``seeds``, in chunks of stacked rows."""
+    from ``default_rng`` of the r-th of ``seeds``, in chunks of stacked rows:
+    one :func:`sampling.uniforms` call per chunk, row r from its own Generator."""
     rows = max(1, _CHUNK_POINTS // _size_m(method, size))
     seeds = iter(seeds)
     out = np.empty(count, dtype=np.float64)
     for start in range(0, count, rows):
-        u = np.concatenate([
-            sampling.uniforms(method, size, 1, np.random.default_rng(s))[0]
-            for s in itertools.islice(seeds, rows)
-        ])
+        rngs = [np.random.default_rng(s) for s in itertools.islice(seeds, rows)]
+        u = sampling.uniforms(method, size, len(rngs), rngs)[0]
         weights = importance_weight(prob.proposal.quantile(u), prob)
         out[start:start + len(u)] = np.mean(weights, axis=1)
     return out

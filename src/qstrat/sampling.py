@@ -67,13 +67,48 @@ def spawn_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _open_uniform(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniforms in the open interval (0, 1).
+def _checked_rng(rng, reps: int):
+    """``rng`` as the generators take it: one ``np.random.Generator``, or a
+    sequence of ``reps`` Generators, one per row, as a list.  Anything else
+    raises :class:`DomainError`."""
+    if isinstance(rng, np.random.Generator):
+        return rng
+    rngs = list(rng) if isinstance(rng, Iterable) else [rng]
+    if not all(isinstance(g, np.random.Generator) for g in rngs):
+        raise DomainError("rng must be a numpy Generator or a sequence of Generators")
+    if len(rngs) != reps:
+        raise DomainError(f"got {len(rngs)} Generators for {reps} replicates")
+    return rngs
+
+
+def _by_row(rng, draw, out: np.ndarray) -> np.ndarray:
+    """Run ``draw(generator, rows)`` on the 2-D array ``out`` and return out.
+
+    One Generator makes the one call ``draw(rng, out)``.  A sequence draws
+    row i alone, as ``draw(rng[i], out[i:i + 1])``, so row i holds what
+    rng[i] would write into a 1-row array.  Only the random draws go through
+    here; all arithmetic runs once on the stacked rows.
+    """
+    if isinstance(rng, np.random.Generator):
+        return draw(rng, out)
+    for i, g in enumerate(rng):
+        draw(g, out[i:i + 1])
+    return out
+
+
+def _random(rng, shape) -> np.ndarray:
+    """Uniforms on [0, 1) of ``shape``, drawn through :func:`_by_row` into a
+    new array, as ``rng.random(shape)`` fills one."""
+    return _by_row(rng, lambda g, r: g.random(out=r), np.empty(shape))
+
+
+def _open_uniform(rng, shape) -> np.ndarray:
+    """Uniforms in the open interval (0, 1), drawn as by :func:`_random`.
 
     ``rng.random`` covers [0, 1); an exact 0.0 (probability 2^-53) is bumped
     to 2^-53 so the quantile function is never evaluated at 0.
     """
-    u = rng.random(shape)
+    u = _random(rng, shape)
     np.copyto(u, 2.0 ** -53, where=(u == 0.0))
     return u
 
@@ -178,12 +213,12 @@ class SampleBatch:
 # with a broadcast 2-D index, or ``permuted`` of a broadcast view, comes back
 # Fortran-ordered, and row reductions over it add in another order.
 
-def _permute_rows(perms: np.ndarray, start: int, rng: np.random.Generator) -> np.ndarray:
+def _permute_rows(perms: np.ndarray, start: int, rng) -> np.ndarray:
     """Fill the (reps, n) int64 array ``perms`` with an independent uniform
-    permutation of start..start+n-1 per row, the rows shuffled in turn, and
-    return it."""
+    permutation of start..start+n-1 per row, the rows shuffled in turn (by
+    :func:`_by_row`), and return it."""
     perms[...] = np.arange(start, start + perms.shape[1])
-    return rng.permuted(perms, axis=1, out=perms)
+    return _by_row(rng, lambda g, p: g.permuted(p, axis=1, out=p), perms)
 
 
 def _qs_place(perms: np.ndarray, r: np.ndarray, m: int, out: np.ndarray) -> None:
@@ -195,41 +230,45 @@ def _qs_place(perms: np.ndarray, r: np.ndarray, m: int, out: np.ndarray) -> None
     out /= m
 
 
-def iid_uniform_batches(m: int, reps: int, rng: np.random.Generator):
-    """IID uniforms of shape (reps, m), as (uniforms, None)."""
+def iid_uniform_batches(m: int, reps: int, rng):
+    """IID uniforms of shape (reps, m), as (uniforms, None).  ``rng`` is as
+    :func:`uniforms` takes it."""
     m, reps = check_int(m, "sample size m"), check_int(reps, "replicates")
-    return _open_uniform(rng, (reps, m)), None
+    return _open_uniform(_checked_rng(rng, reps), (reps, m)), None
 
 
-def qs_uniform_batches(m: int, reps: int, rng: np.random.Generator):
+def qs_uniform_batches(m: int, reps: int, rng):
     """QS uniforms of shape (reps, m), as (uniforms, None): one per block per row.
 
     Row construction: a random permutation sigma of 1..m, then
     U_i = (sigma_i - r_i) / m with r_i in [0, 1), which lands U_i in the
-    half-open block ((sigma_i - 1)/m, sigma_i/m].
+    half-open block ((sigma_i - 1)/m, sigma_i/m].  ``rng`` is as
+    :func:`uniforms` takes it.
     """
     m, reps = check_int(m, "sample size m"), check_int(reps, "replicates")
+    rng = _checked_rng(rng, reps)
     perms = _permute_rows(np.empty((reps, m), dtype=np.int64), 1, rng)
-    u = rng.random((reps, m))
+    u = _random(rng, (reps, m))
     _qs_place(perms, u, m, out=u)
     return u, None
 
 
-def lqs_uniform_batches(layers, reps: int, rng: np.random.Generator):
+def lqs_uniform_batches(layers, reps: int, rng):
     """LQS uniforms of shape (reps, m): per-layer QS subsamples, shuffled.
 
     Returns (uniforms, layer_index), where ``layer_index`` is the 1-based
     layer each point came from.  The final within-row shuffle is a uniform
-    permutation of all m positions.
+    permutation of all m positions.  ``rng`` is as :func:`uniforms` takes it.
     """
     spec, reps = _as_layers(layers), check_int(reps, "replicates")
+    rng = _checked_rng(rng, reps)
     m = spec.total
     # Each layer is a QS draw written into its own columns, before the shuffle.
     u = np.empty((reps, m))
     start = 0
     for mk in spec.sizes:
         perms = _permute_rows(np.empty((reps, mk), dtype=np.int64), 1, rng)
-        _qs_place(perms, rng.random((reps, mk)), mk, out=u[:, start:start + mk])
+        _qs_place(perms, _random(rng, (reps, mk)), mk, out=u[:, start:start + mk])
         start += mk
     shuffle = _permute_rows(np.empty((reps, m), dtype=np.int64), 0, rng)
     # One flat gather: row r of the result reads row r of the input.
@@ -240,12 +279,17 @@ def lqs_uniform_batches(layers, reps: int, rng: np.random.Generator):
     return u, np.repeat(np.arange(1, spec.n_layers + 1, dtype=np.int64), spec.sizes)[shuffle]
 
 
-def uniforms(method: str, size, reps: int, rng: np.random.Generator):
+def uniforms(method: str, size, reps: int, rng):
     """Uniforms of shape (reps, m) drawn by ``method`` (any case, stripped),
     with the LQS layers.
 
     ``size`` is the sample size m for "iid" and "qs", and the layer sizes
-    for "lqs"; ``reps`` is an integer >= 1.  Returns (uniforms, layer_index),
+    for "lqs"; ``reps`` is an integer >= 1.  ``rng`` is one
+    ``np.random.Generator``, which draws every row, or a sequence of ``reps``
+    Generators: row i is then drawn from rng[i] alone and is bit for bit
+    ``uniforms(method, size, 1, rng[i])``, while the arithmetic still runs
+    once on all rows.  A sequence of another length, or holding anything but
+    Generators, raises :class:`DomainError`.  Returns (uniforms, layer_index),
     C-ordered float64 and int64 arrays, layer_index None except for LQS (a
     point's block is :attr:`SampleBatch.blocks`).  This is the one dispatch
     from a method name to its batch generator, looked up at call time; a

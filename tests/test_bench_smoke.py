@@ -46,8 +46,9 @@ def test_full_size_tail_batches_pass_their_checks():
 # Uniform draws of one traced smoke pass at seed 1: (calls, points).  The
 # tracer counts a call of a wrapped generator name and the size of the first
 # array it returns, so a dispatch that bypasses those names, or a result
-# without the uniforms first, changes the counts.
-UNIFORM_DRAWS = {"is_study": (240, 2400), "uniform_checks": (5, 60_000),
+# without the uniforms first, changes the counts.  is_study draws each of its
+# six studies' 40 replicates of m = 10 in one call.
+UNIFORM_DRAWS = {"is_study": (6, 2400), "uniform_checks": (5, 60_000),
                  "tail_batches": (8, 160)}
 
 

@@ -165,6 +165,13 @@ class TestReplicateStudies:
         study = estimate_replicates(prob, 20, "iid", 10, seed=75)
         assert study.rmse is None and study.std_err > 0
 
+    def test_one_replicate_has_no_std_err(self):
+        study = estimate_replicates(beta_log_integral(), m=10, method="qs",
+                                    replicates=1, seed=1)
+        assert np.isnan(study.std_err)
+        assert study.mean == study.estimates[0]
+        assert study.rmse == abs(study.mean - beta_log_integral().true_value)
+
 
 def loop_estimate(prob, m, method, seed, layers):
     """Reference: one sample drawn by its sampler, then the mean of its weights."""

@@ -403,6 +403,27 @@ SIZE_REPS = [(size, reps) for size in SIZES for reps in (1, 7, 20_000)
              if reps * np.sum(size) <= 10 ** 6] + [((500, 300, 200), 2000)]
 
 
+PEAK_LIMITS = [("qs", 30, 20), ("lqs", (18, 9, 3), 28), ("iid", 30, 12)]
+
+
+def traced_peak_per_cell(method, size, reps, rng):
+    """The tracemalloc peak of ``uniforms(method, size, reps, rng)`` per
+    (replicate x point) cell, at m = 30."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = uniforms(method, size, reps, rng)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert out[0].shape == (reps, 30)
+    return peak / (reps * 30)
+
+
 class TestInPlaceGenerators:
     """The generators fill their outputs in place; the arrays they return
     are the reference's, bit for bit, and C-ordered, and the blocks
@@ -430,29 +451,50 @@ class TestInPlaceGenerators:
         sizes = m if layer_idx is None else np.atleast_1d(size)[layer_idx - 1]
         np.testing.assert_array_equal(np.ceil(sizes * out[0]).astype(np.int64), blocks)
 
-    @pytest.mark.parametrize("method,size,limit", [
-        ("qs", 30, 20), ("lqs", (18, 9, 3), 28), ("iid", 30, 12),
-    ])
+    @pytest.mark.parametrize("method", ["iid", "qs", "lqs"])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_generator_per_row_is_each_generator_alone(self, method, size):
+        m = int(np.sum(size))
+        size = size if method == "lqs" else m
+        seeds = [spawn_seed(m, r) for r in range(7)]
+        out = uniforms(method, size, 7, [np.random.default_rng(s) for s in seeds])
+        rows = [uniforms(method, size, 1, np.random.default_rng(s)) for s in seeds]
+        assert (out[1] is None) == (method != "lqs")
+        for got, want in zip(out, zip(*rows)):
+            if got is None:
+                continue
+            assert got.shape == (7, m)
+            assert got.flags.c_contiguous
+            assert got.dtype == (np.int64 if got is out[1] else np.float64)
+            for row, one in zip(got, want):
+                assert row.dtype == one.dtype
+                assert row.tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("method,size", [("iid", 4), ("qs", 4), ("lqs", (3, 1))])
+    def test_generator_sequence_checked(self, method, size):
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        with pytest.raises(DomainError, match="got 3 Generators for 2 replicates"):
+            uniforms(method, size, 2, rngs)
+        with pytest.raises(DomainError, match="got 2 Generators for 3 replicates"):
+            uniforms(method, size, 3, iter(rngs[:2]))
+        for bad in (rngs[:2] + [7], [np.random.RandomState(0)] * 3, 7):
+            with pytest.raises(DomainError, match="numpy Generator or a sequence"):
+                uniforms(method, size, 3, bad)
+
+    @pytest.mark.parametrize("method,size,limit", PEAK_LIMITS)
     def test_traced_peak_bytes_per_cell(self, method, size, limit):
         # Outputs are 8 B a cell for IID and QS and 16 B for LQS.  The
         # generators peak at 9 (IID: u and its zero mask), 16 (QS: u and the
         # permutations) and 25 B (LQS: u, the shuffle index and the gathered
         # u, then the layer index).
-        reps, m = 20_000, 30
-        rng = np.random.default_rng(3)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            out = uniforms(method, size, reps, rng)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert out[0].shape == (reps, m)
-        assert peak / (reps * m) <= limit
+        assert traced_peak_per_cell(method, size, 20_000, np.random.default_rng(3)) <= limit
+
+    @pytest.mark.parametrize("method,size,limit", PEAK_LIMITS)
+    def test_traced_peak_bytes_per_cell_generator_per_row(self, method, size, limit):
+        # Each Generator draws into a view of one row of the same arrays;
+        # only the list of Generators (8 B a row) is added.
+        rngs = [np.random.default_rng(s) for s in range(5000)]
+        assert traced_peak_per_cell(method, size, len(rngs), rngs) <= limit
 
 
 class TestBlockEdges:
