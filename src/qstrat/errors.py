@@ -3,6 +3,8 @@ checks every module applies to its arguments."""
 
 import operator
 
+import numpy as np
+
 
 class QstratError(Exception):
     """Base class for all package errors."""
@@ -26,11 +28,14 @@ class ZeroProposalDensityError(QstratError, ZeroDivisionError):
 
 def check_int(value, what: str, low: int = 1) -> int:
     """``value`` as an int, if it is an integer (numpy integers too) >= ``low``;
-    anything else (a float such as 2.5 or 3.0, a string) raises DomainError."""
+    anything else (a float such as 2.5 or 3.0, a string, a bool) raises
+    DomainError."""
     try:
         n = operator.index(value)
     except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+        n = None
+    if n is None or isinstance(value, (bool, np.bool_)):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
     if n < low:
         raise DomainError(f"{what} must be >= {low}, got {n}")
     return n

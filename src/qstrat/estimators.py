@@ -9,7 +9,7 @@ its variance.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -18,9 +18,11 @@ import numpy as np
 from scipy import special
 
 from .distributions import Beta, Distribution, Gamma, _elementwise
-from .errors import EmptySampleError, ZeroProposalDensityError, check_int, check_name
+from .errors import (
+    DomainError, EmptySampleError, ZeroProposalDensityError, check_int, check_name,
+)
 from . import sampling
-from .sampling import LayerSpec, sample_size, spawn_seed
+from .sampling import LayerSpec, sample_size
 
 __all__ = [
     "ImportanceProblem",
@@ -121,7 +123,7 @@ def importance_estimate(
     """
     method, size = sample_size(method, m, layers)
     seed = None if seed is None else check_int(seed, "seed", low=0)
-    return float(_estimates(prob, method, size, [seed], 1)[0])
+    return float(_estimates(prob, method, size, 1, lambda *_: [np.random.default_rng(seed)])[0])
 
 
 def estimate_replicates(
@@ -134,24 +136,29 @@ def estimate_replicates(
 ) -> EstimateSummary:
     """Run independent replicate estimates with per-replicate seed streams.
 
-    Replicate r draws its sample from the child seed derived from (seed, r),
+    Replicate r draws its sample from ``default_rng(spawn_seed(seed, r))``,
     so results are reproducible and do not depend on the order in which
     replicates run.  Replicates are evaluated in chunks of stacked rows, one
-    generator, one quantile and one weight call per chunk: the generator
-    draws row r from the Generator of child seed r alone, so the chunk's
-    uniforms are those of one-replicate calls.  Every quantile depends only on
-    its own probability, so each estimate is bit for bit the one
-    :func:`importance_estimate` gives for that child seed.  A chunk holds
+    seeding pass, one generator, one quantile and one weight call per chunk.
+    The seeding pass runs numpy's SeedSequence hash once over the chunk's
+    indices (``sampling._child_generators``) and yields the very Generators
+    ``default_rng(spawn_seed(seed, r))`` would, without two scalar hashes
+    per replicate.  The generator draws row r from Generator r alone, so the
+    chunk's uniforms are those of one-replicate calls.  Every quantile
+    depends only on its own probability, so each estimate is bit for bit the
+    one :func:`importance_estimate` gives for that child seed.  A chunk holds
     at most 2^14 points (or one row, if m is larger), so memory stays
     bounded however many replicates run while the per-call overhead is
-    still amortized.  ``replicates`` must be an integer >= 1 and ``seed``
-    an integer >= 0.
+    still amortized.  ``replicates`` must be an integer in [1, 2^32] (one
+    32-bit stream index per replicate) and ``seed`` an integer >= 0.
     """
     replicates = check_int(replicates, "replicates")
+    if replicates > sampling._MAX_STREAMS:
+        raise DomainError(f"replicates must be <= 2^32, got {replicates}")
     seed = check_int(seed, "seed", low=0)
     method, size = sample_size(method, m, layers)
-    seeds = (spawn_seed(seed, r) for r in range(replicates))
-    estimates = _estimates(prob, method, size, seeds, replicates)
+    children = functools.partial(sampling._child_generators, seed)
+    estimates = _estimates(prob, method, size, replicates, children)
     mean = float(np.mean(estimates))
     std_err = float(np.std(estimates, ddof=1)) if replicates > 1 else math.nan
     rmse = None
@@ -174,15 +181,18 @@ def _size_m(method: str, size) -> int:
     return size.total if method == "lqs" else size
 
 
-def _estimates(prob: ImportanceProblem, method: str, size, seeds, count: int):
-    """Importance estimates from ``count`` samples of ``size``, the r-th drawn
-    from ``default_rng`` of the r-th of ``seeds``, in chunks of stacked rows:
-    one :func:`sampling.uniforms` call per chunk, row r from its own Generator."""
+def _estimates(prob: ImportanceProblem, method: str, size, count: int, generators):
+    """Importance estimates from ``count`` samples of ``size``, in chunks of
+    stacked rows: ``generators(start, stop)`` gives the Generators of rows
+    start..stop-1, and each chunk makes one :func:`sampling.uniforms` call,
+    row r drawn from its own Generator.  :func:`estimate_replicates` passes
+    ``sampling._child_generators``, whose chunk of Generators comes from one
+    vectorised SeedSequence pass and is bit for bit
+    ``default_rng(spawn_seed(seed, r))`` for each row r."""
     rows = max(1, _CHUNK_POINTS // _size_m(method, size))
-    seeds = iter(seeds)
     out = np.empty(count, dtype=np.float64)
     for start in range(0, count, rows):
-        rngs = [np.random.default_rng(s) for s in itertools.islice(seeds, rows)]
+        rngs = generators(start, min(start + rows, count))
         u = sampling.uniforms(method, size, len(rngs), rngs)[0]
         weights = importance_weight(prob.proposal.quantile(u), prob)
         out[start:start + len(u)] = np.mean(weights, axis=1)

@@ -67,6 +67,111 @@ def spawn_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+# SeedSequence's hashing (numpy/random/bit_generator.pyx), run over lanes:
+# every word below is a uint32 array with one entry per lane, and uint32
+# array arithmetic wraps mod 2^32 as the C code does.  The running hash
+# constant steps the same way in every lane, so each of its values is one
+# uint32 scalar.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MAX_STREAMS = 2 ** 32
+
+
+def _hash_constants(init: int, mult: int):
+    """SeedSequence's running hash constant as (before, after) pairs, one pair
+    per hashed word: init, init*mult, init*mult^2, ... mod 2^32."""
+    while True:
+        after = init * mult & 0xFFFFFFFF
+        yield np.uint32(init), np.uint32(after)
+        init = after
+
+
+def _hashmix(word: np.ndarray, constants) -> np.ndarray:
+    before, after = next(constants)
+    word = (word ^ before) * after
+    return word ^ (word >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> 16)
+
+
+def _mix_entropy(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence.mix_entropy of the entropy words, lane by lane: the pool."""
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    zero = np.zeros_like(entropy[0])
+    pool = [_hashmix(entropy[i] if i < len(entropy) else zero, constants)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, constants))
+    return pool
+
+
+def _generate_state(pool: list[np.ndarray], n_words: int) -> np.ndarray:
+    """SeedSequence.generate_state(n_words, np.uint64) of each lane's pool, as
+    a C-ordered (lanes, n_words) uint64 array."""
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    words = [_hashmix(pool[i % _POOL_SIZE], constants).astype(np.uint64)
+             for i in range(2 * n_words)]
+    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(words[::2], words[1::2])],
+                    axis=1)
+
+
+def _child_seeds(seed: int, start: int, stop: int) -> np.ndarray:
+    """``[spawn_seed(seed, r) for r in range(start, stop)]`` as a uint64 array,
+    hashed in one pass over the indices, which must lie in [0, 2^32).
+
+    The entropy is the seed's 32-bit words, zero-padded to the pool size as
+    SeedSequence pads them when a spawn key is present, then the index.
+    """
+    if not 0 <= start <= stop <= _MAX_STREAMS:
+        raise DomainError(f"stream indices must lie in [0, 2^32), got [{start}, {stop})")
+    index = np.arange(start, stop, dtype=np.uint32)
+    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.full_like(index, w) for w in words] + [index]
+    return _generate_state(_mix_entropy(entropy), 1)[:, 0]
+
+
+def _pcg64_keys(children: np.ndarray) -> np.ndarray:
+    """``SeedSequence(c).generate_state(4, np.uint64)`` for each uint64 child
+    seed c, as a (lanes, 4) array: the words ``default_rng(c)`` seeds PCG64
+    with.  A child below 2^32 is one word long; its missing high word hashes
+    as a zero word would, since pool slots past the entropy hash a zero."""
+    lo = (children & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    hi = (children >> np.uint64(32)).astype(np.uint32)
+    return _generate_state(_mix_entropy([lo, hi]), 4)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state is already generated: hands PCG64 its
+    four words without hashing again.  PCG64 reads the array's buffer, so
+    ``words`` must be a C-contiguous uint64 row, as :func:`_pcg64_keys`
+    rows are."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint64):
+        return self.words
+
+
+def _child_generators(seed: int, start: int, stop: int) -> list[np.random.Generator]:
+    """``[np.random.default_rng(spawn_seed(seed, r)) for r in range(start, stop)]``,
+    bit for bit, from one hash pass over the indices (which must lie in
+    [0, 2^32)) in place of two SeedSequence hashes per index."""
+    keys = _pcg64_keys(_child_seeds(seed, start, stop))
+    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in keys]
+
+
 def _checked_rng(rng, reps: int):
     """``rng`` as the generators take it: one ``np.random.Generator``, or a
     sequence of ``reps`` Generators, one per row, as a list.  Anything else

@@ -1,8 +1,8 @@
 """Integer and name arguments are checked once, in `qstrat.errors`: every
 integer argument (sizes, order and block indices, lags, replicate counts,
-seeds) must be an integer -- numpy integers included -- in range, else
-DomainError; it is never truncated.  An ExperimentConfig is checked and
-normalised when it is built."""
+seeds) must be an integer -- numpy integers included, bools not -- in
+range, else DomainError; it is never truncated.  An ExperimentConfig is
+checked and normalised when it is built."""
 
 import dataclasses
 
@@ -48,7 +48,8 @@ from qstrat.theory import (
     spacing_law,
 )
 
-BAD_SCALARS = {"2.5": 2.5, "10.7": 10.7, "0": 0, "-1": -1, "'3'": "3"}
+BAD_SCALARS = {"2.5": 2.5, "10.7": 10.7, "0": 0, "-1": -1, "'3'": "3",
+               "True": True, "False": False, "np.True_": np.True_}
 
 DIST = Normal(0, 1)
 PROB = beta_log_integral()
@@ -115,7 +116,7 @@ def test_numpy_integers_equal_python_ints(entry):
 
 
 @pytest.mark.parametrize("entry", SEEDED)
-@pytest.mark.parametrize("bad", [-1, 2.9, "3", 1.0])
+@pytest.mark.parametrize("bad", [-1, 2.9, "3", 1.0, True, False, np.True_, np.False_])
 def test_bad_seed_raises_domain_error(entry, bad):
     with pytest.raises(DomainError):
         SEEDED[entry](bad)
@@ -134,6 +135,12 @@ def test_spawn_seed_index_is_checked():
     with pytest.raises(DomainError):
         spawn_seed(1, 2.5)
     assert spawn_seed(1, np.int64(2)) == spawn_seed(1, 2)
+
+
+def test_replicates_beyond_the_stream_index_range_are_rejected():
+    # One 32-bit spawn-key word per replicate: index 2^32 would need a second.
+    with pytest.raises(DomainError, match=r"<= 2\^32"):
+        estimate_replicates(PROB, 10, "qs", 2 ** 32 + 1, seed=1)
 
 
 def test_range_checks_depending_on_another_argument():

@@ -14,6 +14,9 @@ from qstrat.distributions import Beta, Discrete, Gamma, Normal, Uniform01
 from qstrat.errors import DomainError
 from qstrat.sampling import (
     LayerSpec,
+    _child_generators,
+    _child_seeds,
+    _pcg64_keys,
     _qs_place,
     iid_uniform_batches,
     lqs_uniform_batches,
@@ -322,6 +325,55 @@ class TestDeterminism:
                      for r in scrambled_order}
         for r in range(8):
             np.testing.assert_array_equal(natural[r], scrambled[r])
+
+
+class TestChildGenerators:
+    """The vectorised replicate seeding against numpy's scalar SeedSequence:
+    child seeds, PCG64 seed words and the Generators' draws are bit for bit
+    ``default_rng(SeedSequence(seed, spawn_key=(r,)))``, for master seeds of
+    one to seven 32-bit words and at both ends of the index range."""
+
+    MASTER_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, 2 ** 64,
+                    2 ** 128 + 3, 2 ** 200]
+    WINDOWS = [(0, 200), (2 ** 32 - 200, 2 ** 32)]
+
+    @staticmethod
+    def oracle_child(seed, r):
+        return int(np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(1, np.uint64)[0])
+
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    @pytest.mark.parametrize("start,stop", WINDOWS)
+    def test_child_seeds_equal_seed_sequence(self, seed, start, stop):
+        children = _child_seeds(seed, start, stop)
+        assert children.dtype == np.uint64
+        assert children.tolist() == [self.oracle_child(seed, r) for r in range(start, stop)]
+
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    @pytest.mark.parametrize("start,stop", WINDOWS)
+    def test_generators_draw_as_default_rng(self, seed, start, stop):
+        generators = _child_generators(seed, start, stop)
+        assert len(generators) == stop - start
+        for r, g in zip(range(start, stop), generators):
+            oracle = np.random.default_rng(self.oracle_child(seed, r))
+            np.testing.assert_array_equal(g.random(3), oracle.random(3))
+            np.testing.assert_array_equal(g.permuted(np.arange(10)), oracle.permuted(np.arange(10)))
+            np.testing.assert_array_equal(g.integers(0, 2 ** 40, 3), oracle.integers(0, 2 ** 40, 3))
+
+    def test_pcg64_keys_equal_seed_sequence(self):
+        # One- and two-word children, at both ends of each word count.
+        children = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+        keys = _pcg64_keys(np.array(children, dtype=np.uint64))
+        assert keys.shape == (5, 4) and keys.dtype == np.uint64
+        for c, row in zip(children, keys):
+            np.testing.assert_array_equal(row, np.random.SeedSequence(c).generate_state(4, np.uint64))
+
+    @pytest.mark.parametrize("start,stop", [(2 ** 32, 2 ** 32 + 1), (2 ** 32 - 1, 2 ** 32 + 1),
+                                            (-1, 3)])
+    def test_indices_beyond_one_word_are_rejected(self, start, stop):
+        with pytest.raises(DomainError):
+            _child_seeds(1, start, stop)
+        with pytest.raises(DomainError):
+            _child_generators(1, start, stop)
 
 
 class TestUniformsDispatch:
