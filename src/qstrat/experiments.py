@@ -254,6 +254,8 @@ def run_moment_check(cfg: ExperimentConfig) -> ExperimentResult:
         rows.append(dict(cov_row, statistic="pair_correlation", theory=mom.pair_correlation,
                          empirical=12.0 * cov_row["empirical"],
                          std_error=12.0 * cov_row["std_error"]))
+        # Freed before the next method draws, so one batch is alive at a time.
+        del centered
     report = {
         "experiment": "moment_check",
         "m": cfg.m,
@@ -279,8 +281,11 @@ def run_qq_export(cfg: ExperimentConfig) -> ExperimentResult:
     p_iid, p_qs = theory._quantile_target_arrays(m)
     methods = _method_list(cfg)
     targets = [dist.quantile(p_iid if method == "iid" else p_qs) for method in methods]
-    values = [np.sort(dist.quantile(_uniform_batches(method, cfg, reps)), axis=1).ravel()
-              for method in methods]
+    values = []
+    for method in methods:
+        batch = dist.quantile(_uniform_batches(method, cfg, reps))
+        batch.sort(axis=1)
+        values.append(batch.ravel())
     rows = Table({
         "method": list(chain.from_iterable([method] * (reps * m) for method in methods)),
         "replicate": np.tile(np.repeat(np.arange(1, reps + 1, dtype=np.int64), m), len(methods)),
@@ -381,6 +386,8 @@ def run_spacing_check(cfg: ExperimentConfig) -> ExperimentResult:
                                    and abs(var_z) <= Z_LIMIT),
                 }
             )
+        # Freed before the next method draws, so one batch is alive at a time.
+        del u
     report = {
         "experiment": "spacing_check",
         "m": m,

@@ -201,21 +201,10 @@ def _by_row(rng, draw, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _random(rng, shape) -> np.ndarray:
-    """Uniforms on [0, 1) of ``shape``, drawn through :func:`_by_row` into a
-    new array, as ``rng.random(shape)`` fills one."""
-    return _by_row(rng, lambda g, r: g.random(out=r), np.empty(shape))
-
-
-def _open_uniform(rng, shape) -> np.ndarray:
-    """Uniforms in the open interval (0, 1), drawn as by :func:`_random`.
-
-    ``rng.random`` covers [0, 1); an exact 0.0 (probability 2^-53) is bumped
-    to 2^-53 so the quantile function is never evaluated at 0.
-    """
-    u = _random(rng, shape)
-    np.copyto(u, 2.0 ** -53, where=(u == 0.0))
-    return u
+def _random(rng, out: np.ndarray) -> np.ndarray:
+    """Fill the 2-D float64 array ``out`` with uniforms on [0, 1), drawn
+    through :func:`_by_row`, as ``rng.random(out=out)`` fills it."""
+    return _by_row(rng, lambda g, r: g.random(out=r), out)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +307,12 @@ class SampleBatch:
 # with a broadcast 2-D index, or ``permuted`` of a broadcast view, comes back
 # Fortran-ordered, and row reductions over it add in another order.
 
+# Cells in one row block of the QS and LQS arithmetic: a block of an array m
+# wide is max(1, _BLOCK_CELLS // m) rows.  Only one block of rows has
+# temporaries at a time, so a generator peaks at about the size of its output.
+_BLOCK_CELLS = 2 ** 16
+
+
 def _permute_rows(perms: np.ndarray, start: int, rng) -> np.ndarray:
     """Fill the (reps, n) int64 array ``perms`` with an independent uniform
     permutation of start..start+n-1 per row, the rows shuffled in turn (by
@@ -335,11 +330,42 @@ def _qs_place(perms: np.ndarray, r: np.ndarray, m: int, out: np.ndarray) -> None
     out /= m
 
 
+def _qs_rows(m: int, reps: int, rng) -> np.ndarray:
+    """QS uniforms of shape (reps, m), written over their own permutations.
+
+    The int64 permutations are drawn first; then each row block draws its
+    offsets r into a small buffer, places U there and stores it over the
+    block's permutation rows, so the result is the permutation buffer seen
+    as float64.  (Writing U straight over the int64 rows would make numpy
+    copy them first, since input and output share memory.)
+    """
+    perms = _permute_rows(np.empty((reps, m), dtype=np.int64), 1, rng)
+    u = perms.view(np.float64)
+    step = min(reps, max(1, _BLOCK_CELLS // m))
+    r_buffer = np.empty((step, m))
+    for start in range(0, reps, step):
+        rows = slice(start, start + step)
+        block = perms[rows]
+        # One Generator draws the blocks in row order, which gives the bits of
+        # one call over all rows; a sequence is sliced to the block's rows.
+        g = rng if isinstance(rng, np.random.Generator) else rng[rows]
+        r = _random(g, r_buffer[:len(block)])
+        _qs_place(block, r, m, out=r)
+        u[rows] = r
+    return u
+
+
 def iid_uniform_batches(m: int, reps: int, rng):
     """IID uniforms of shape (reps, m), as (uniforms, None).  ``rng`` is as
-    :func:`uniforms` takes it."""
+    :func:`uniforms` takes it.
+
+    ``rng.random`` covers [0, 1) in multiples of 2^-53, so raising every
+    value to at least 2^-53 bumps exactly the zeros (probability 2^-53 each)
+    and the quantile function is never evaluated at 0.
+    """
     m, reps = check_int(m, "sample size m"), check_int(reps, "replicates")
-    return _open_uniform(_checked_rng(rng, reps), (reps, m)), None
+    u = _random(_checked_rng(rng, reps), np.empty((reps, m)))
+    return np.maximum(u, 2.0 ** -53, out=u), None
 
 
 def qs_uniform_batches(m: int, reps: int, rng):
@@ -351,11 +377,7 @@ def qs_uniform_batches(m: int, reps: int, rng):
     :func:`uniforms` takes it.
     """
     m, reps = check_int(m, "sample size m"), check_int(reps, "replicates")
-    rng = _checked_rng(rng, reps)
-    perms = _permute_rows(np.empty((reps, m), dtype=np.int64), 1, rng)
-    u = _random(rng, (reps, m))
-    _qs_place(perms, u, m, out=u)
-    return u, None
+    return _qs_rows(m, reps, _checked_rng(rng, reps)), None
 
 
 def lqs_uniform_batches(layers, reps: int, rng):
@@ -368,20 +390,27 @@ def lqs_uniform_batches(layers, reps: int, rng):
     spec, reps = _as_layers(layers), check_int(reps, "replicates")
     rng = _checked_rng(rng, reps)
     m = spec.total
-    # Each layer is a QS draw written into its own columns, before the shuffle.
+    # Each layer is a QS draw copied into its own columns, before the shuffle.
     u = np.empty((reps, m))
     start = 0
     for mk in spec.sizes:
-        perms = _permute_rows(np.empty((reps, mk), dtype=np.int64), 1, rng)
-        _qs_place(perms, _random(rng, (reps, mk)), mk, out=u[:, start:start + mk])
+        u[:, start:start + mk] = _qs_rows(mk, reps, rng)
         start += mk
+    # The shuffle is applied a row block at a time, over u and over itself:
+    # one flat gather per block (row r of the block reads row r), then the
+    # shuffle's rows become the layer index.
     shuffle = _permute_rows(np.empty((reps, m), dtype=np.int64), 0, rng)
-    # One flat gather: row r of the result reads row r of the input.
-    row_offsets = np.arange(0, reps * m, m)[:, None]
-    shuffle += row_offsets
-    u = u.ravel()[shuffle]
-    shuffle -= row_offsets
-    return u, np.repeat(np.arange(1, spec.n_layers + 1, dtype=np.int64), spec.sizes)[shuffle]
+    labels = np.repeat(np.arange(1, spec.n_layers + 1, dtype=np.int64), spec.sizes)
+    step = max(1, _BLOCK_CELLS // m)
+    for start in range(0, reps, step):
+        rows = slice(start, start + step)
+        block = shuffle[rows]
+        row_offsets = np.arange(0, block.size, m)[:, None]
+        block += row_offsets
+        u[rows] = u[rows].ravel()[block]
+        block -= row_offsets
+        shuffle[rows] = labels[block]
+    return u, shuffle
 
 
 def uniforms(method: str, size, reps: int, rng):

@@ -8,6 +8,7 @@ import math
 import struct
 import subprocess
 import sys
+import tracemalloc
 from collections.abc import Sequence
 
 import numpy as np
@@ -34,7 +35,13 @@ from qstrat.experiments import (
     run_qq_export,
     run_spacing_check,
 )
-from qstrat.sampling import iid_uniform_batches, lqs_uniform_batches, qs_uniform_batches, sample
+from qstrat.sampling import (
+    iid_uniform_batches,
+    lqs_uniform_batches,
+    qs_uniform_batches,
+    sample,
+    uniforms,
+)
 from qstrat.theory import quantile_targets
 
 
@@ -150,6 +157,47 @@ class TestSpacingCheck:
             run_spacing_check(
                 cfg(experiment="spacing_check", m=10, ell=(10,), replicates=100)
             )
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak of ``call()`` in bytes, above what was traced
+    when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneBatchAtATime:
+    """The bulk checks free each method's batch before the next is drawn,
+    so each peaks at its heaviest generator's peak plus a few arrays of one
+    value per replicate.  Each check runs once untraced first, so imports
+    and caches are not counted."""
+
+    REPS = 20_000
+
+    def check_peak(self, **kwargs):
+        run_experiment(cfg(**kwargs, replicates=100, seed=1))
+        return traced_peak(lambda: run_experiment(cfg(**kwargs, replicates=self.REPS, seed=2)))
+
+    def test_moment_check_holds_one_batch(self):
+        generator = traced_peak(
+            lambda: uniforms("lqs", (18, 9, 3), self.REPS, np.random.default_rng(0)))
+        peak = self.check_peak(experiment="moment_check", m=30, layers=(18, 9, 3))
+        # Per replicate: the mean, sum, mean square and pair estimate, and
+        # their temporaries; 8 float64 arrays.
+        assert peak <= generator + 8 * 8 * self.REPS
+
+    def test_spacing_check_holds_one_batch(self):
+        generator = traced_peak(lambda: uniforms("qs", 30, self.REPS, np.random.default_rng(0)))
+        peak = self.check_peak(experiment="spacing_check", m=30, ell=(1, 3, 5))
+        # Per replicate and lag: the lower index, the row and column
+        # indices, the two order statistics, the spacing, its squared error
+        # and kstest's sorted copy and CDF values; 16 8-byte arrays.
+        assert peak <= generator + 16 * 8 * self.REPS
 
 
 class TestImportanceStudy:
