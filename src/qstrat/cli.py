@@ -159,8 +159,11 @@ def _cmd_theory(args) -> int:
 def _cmd_experiment(args) -> int:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            mapping = json.load(fh)
-        if args.name is not None:
+            try:
+                mapping = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise DomainError(f"config file {args.config!r} is not valid JSON: {exc}") from None
+        if args.name is not None and isinstance(mapping, dict):
             mapping["experiment"] = args.name
         cfg = config_from_mapping(mapping)
     else:

@@ -24,7 +24,7 @@ from . import theory
 from .distributions import distribution_from_name
 from .errors import DomainError, check_int, check_name
 from .estimators import BENCHMARKS, estimate_replicates
-from .sampling import sample_size, spawn_seed, uniforms
+from .sampling import _uniform_values, sample_size, spawn_seed
 
 __all__ = [
     "ExperimentConfig",
@@ -200,10 +200,13 @@ def _method_list(cfg: ExperimentConfig) -> list[str]:
 
 
 def _uniform_batches(method: str, cfg: ExperimentConfig, reps: int):
+    """The (reps, m) uniforms of ``method`` from its own seed stream.  No
+    caller reads a layer index, so none is built: an LQS batch peaks at its
+    8-byte output (see :func:`sampling._uniform_values`)."""
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(_METHOD_STREAM[method],))
     )
-    return uniforms(method, cfg.layers if method == "lqs" else cfg.m, reps, rng)[0]
+    return _uniform_values(method, cfg.layers if method == "lqs" else cfg.m, reps, rng)
 
 
 def _z_row(method: str, statistic: str, theory_value: float, values: np.ndarray) -> dict:
@@ -245,8 +248,11 @@ def run_moment_check(cfg: ExperimentConfig) -> ExperimentResult:
         np.square(centered, out=centered)
         row_sq = centered.mean(axis=1)
         # Average of (U_i - 1/2)(U_j - 1/2) over ordered pairs i != j is an
-        # unbiased per-replicate estimate of the pairwise covariance.
-        pair = (s ** 2 - centered.sum(axis=1)) / (cfg.m * (cfg.m - 1))
+        # unbiased per-replicate estimate of the pairwise covariance; it is
+        # formed in s's array, which is not read again.
+        pair = np.square(s, out=s)
+        pair -= centered.sum(axis=1)
+        pair /= cfg.m * (cfg.m - 1)
         rows.append(_z_row(method, "mean", 0.5, row_mean))
         rows.append(_z_row(method, "variance", 1.0 / 12.0, row_sq))
         cov_row = _z_row(method, "pair_covariance", mom.pair_covariance, pair)
@@ -254,8 +260,9 @@ def run_moment_check(cfg: ExperimentConfig) -> ExperimentResult:
         rows.append(dict(cov_row, statistic="pair_correlation", theory=mom.pair_correlation,
                          empirical=12.0 * cov_row["empirical"],
                          std_error=12.0 * cov_row["std_error"]))
-        # Freed before the next method draws, so one batch is alive at a time.
-        del centered
+        # Freed before the next method draws, so one batch is alive at a time
+        # and no array of this method's is alive while it draws.
+        del centered, row_mean, s, row_sq, pair
     report = {
         "experiment": "moment_check",
         "m": cfg.m,
@@ -625,7 +632,11 @@ def render_artifact(result: ExperimentResult, fmt: str) -> str:
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
-    """Build a config from a JSON-compatible mapping (e.g. a config file)."""
+    """Build a config from a JSON-compatible mapping (e.g. a config file).
+    Anything but a dict, or a key that is not a config field, raises
+    :class:`DomainError`."""
+    if not isinstance(mapping, dict):
+        raise DomainError(f"a config must be a JSON object, got {type(mapping).__name__}")
     known = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(mapping) - known
     if unknown:

@@ -313,12 +313,18 @@ class SampleBatch:
 _BLOCK_CELLS = 2 ** 16
 
 
+def _shuffle_rows(a: np.ndarray, rng) -> np.ndarray:
+    """Shuffle each row of the 2-D array ``a`` in place by a uniform
+    permutation, the rows in turn (by :func:`_by_row`), and return it.
+    ``permuted`` makes the same swaps whatever the dtype or stride of ``a``."""
+    return _by_row(rng, lambda g, p: g.permuted(p, axis=1, out=p), a)
+
+
 def _permute_rows(perms: np.ndarray, start: int, rng) -> np.ndarray:
     """Fill the (reps, n) int64 array ``perms`` with an independent uniform
-    permutation of start..start+n-1 per row, the rows shuffled in turn (by
-    :func:`_by_row`), and return it."""
+    permutation of start..start+n-1 per row and return it."""
     perms[...] = np.arange(start, start + perms.shape[1])
-    return _by_row(rng, lambda g, p: g.permuted(p, axis=1, out=p), perms)
+    return _shuffle_rows(perms, rng)
 
 
 def _qs_place(perms: np.ndarray, r: np.ndarray, m: int, out: np.ndarray) -> None:
@@ -330,17 +336,19 @@ def _qs_place(perms: np.ndarray, r: np.ndarray, m: int, out: np.ndarray) -> None
     out /= m
 
 
-def _qs_rows(m: int, reps: int, rng) -> np.ndarray:
-    """QS uniforms of shape (reps, m), written over their own permutations.
+def _qs_fill(u: np.ndarray, rng) -> np.ndarray:
+    """Fill the (reps, m) float64 array ``u`` (C-ordered, or a column slice
+    of a C-ordered array) with QS uniforms written over their own
+    permutations, and return it.
 
-    The int64 permutations are drawn first; then each row block draws its
-    offsets r into a small buffer, places U there and stores it over the
-    block's permutation rows, so the result is the permutation buffer seen
-    as float64.  (Writing U straight over the int64 rows would make numpy
-    copy them first, since input and output share memory.)
+    The int64 permutations are drawn into ``u`` seen as int64 first; then
+    each row block draws its offsets r into a small buffer, places U there
+    and stores it over the block's permutation rows.  (Writing U straight
+    over the int64 rows would make numpy copy them first, since input and
+    output share memory.)
     """
-    perms = _permute_rows(np.empty((reps, m), dtype=np.int64), 1, rng)
-    u = perms.view(np.float64)
+    reps, m = u.shape
+    perms = _permute_rows(u.view(np.int64), 1, rng)
     step = min(reps, max(1, _BLOCK_CELLS // m))
     r_buffer = np.empty((step, m))
     for start in range(0, reps, step):
@@ -377,25 +385,32 @@ def qs_uniform_batches(m: int, reps: int, rng):
     :func:`uniforms` takes it.
     """
     m, reps = check_int(m, "sample size m"), check_int(reps, "replicates")
-    return _qs_rows(m, reps, _checked_rng(rng, reps)), None
+    return _qs_fill(np.empty((reps, m)), _checked_rng(rng, reps)), None
 
 
-def lqs_uniform_batches(layers, reps: int, rng):
+def lqs_uniform_batches(layers, reps: int, rng, *, _layer_index: bool = True):
     """LQS uniforms of shape (reps, m): per-layer QS subsamples, shuffled.
 
     Returns (uniforms, layer_index), where ``layer_index`` is the 1-based
     layer each point came from.  The final within-row shuffle is a uniform
     permutation of all m positions.  ``rng`` is as :func:`uniforms` takes it.
+    :func:`uniforms` and :func:`sample` return the layer index; the bulk
+    callers, which read none, come through :func:`_uniform_values`, whose
+    private ``_layer_index=False`` gives (uniforms, None) with the same bits.
     """
     spec, reps = _as_layers(layers), check_int(reps, "replicates")
     rng = _checked_rng(rng, reps)
     m = spec.total
-    # Each layer is a QS draw copied into its own columns, before the shuffle.
+    # Each layer's QS draw is written into its own columns, before the shuffle.
     u = np.empty((reps, m))
     start = 0
     for mk in spec.sizes:
-        u[:, start:start + mk] = _qs_rows(mk, reps, rng)
+        _qs_fill(u[:, start:start + mk], rng)
         start += mk
+    if not _layer_index:
+        # The shuffle's swaps applied to U itself: U gathered by a shuffled
+        # 0..m-1, bit for bit, with no index array.
+        return _shuffle_rows(u, rng), None
     # The shuffle is applied a row block at a time, over u and over itself:
     # one flat gather per block (row r of the block reads row r), then the
     # shuffle's rows become the layer index.
@@ -432,6 +447,15 @@ def uniforms(method: str, size, reps: int, rng):
     generators = {"iid": iid_uniform_batches, "qs": qs_uniform_batches,
                   "lqs": lqs_uniform_batches}
     return generators[check_name(method, METHODS, "method")](size, reps, rng)
+
+
+def _uniform_values(method: str, size, reps: int, rng) -> np.ndarray:
+    """``uniforms(method, size, reps, rng)[0]``, bit for bit, for the bulk
+    callers, which read no layer index: LQS then shuffles U in place and
+    builds none, so its batch peaks at its 8-byte output, as IID and QS do."""
+    if check_name(method, METHODS, "method") == "lqs":
+        return lqs_uniform_batches(size, reps, rng, _layer_index=False)[0]
+    return uniforms(method, size, reps, rng)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,32 @@ class TestExperimentCommand:
         code, _, err = run_cli(capsys, "experiment", "--config", str(config))
         assert code == 1 and "wat" in err
 
+    @pytest.mark.parametrize("name", [None, "qq_export"])
+    @pytest.mark.parametrize("content,kind", [([1, 2], "list"), ("qq_export", "str"),
+                                              (7, "int"), (None, "NoneType")])
+    def test_non_object_config_exits_one_naming_its_type(self, capsys, tmp_path, content,
+                                                         kind, name):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(content))
+        flags = () if name is None else ("--name", name)
+        code, out, err = run_cli(capsys, "experiment", "--config", str(config), *flags)
+        assert code == 1 and out == ""
+        assert f"a config must be a JSON object, got {kind}" in err
+
+    @pytest.mark.parametrize("content", [b"", b"{", b'{"experiment": "mse_grid",}', b"nan?",
+                                         b'\xff{"experiment": "mse_grid"}'])
+    def test_invalid_json_config_exits_one_with_the_decoder_message(self, capsys, tmp_path,
+                                                                   content):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(content)
+        code, out, err = run_cli(capsys, "experiment", "--config", str(config))
+        assert code == 1 and out == ""
+        try:
+            json.loads(content.decode("utf-8"))
+        except ValueError as exc:
+            message = str(exc)
+        assert f"is not valid JSON: {message}" in err
+
     def test_non_numeric_config_params_exit_one(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"experiment": "qq_export", "dist": "normal",

@@ -191,6 +191,14 @@ class TestOneBatchAtATime:
         # their temporaries; 8 float64 arrays.
         assert peak <= generator + 8 * 8 * self.REPS
 
+    def test_moment_check_with_layers_peaks_as_iid(self):
+        # No bulk batch builds a layer index, so the LQS batch peaks at its
+        # 8-byte output, as IID does, plus one row block of its QS layers
+        # (freed before the reductions run).  Measured: 4.0 arrays.
+        generator = traced_peak(lambda: uniforms("iid", 30, self.REPS, np.random.default_rng(0)))
+        peak = self.check_peak(experiment="moment_check", m=30, layers=(18, 9, 3))
+        assert peak <= generator + 8 * 8 * self.REPS
+
     def test_spacing_check_holds_one_batch(self):
         generator = traced_peak(lambda: uniforms("qs", 30, self.REPS, np.random.default_rng(0)))
         peak = self.check_peak(experiment="spacing_check", m=30, ell=(1, 3, 5))

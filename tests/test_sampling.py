@@ -19,6 +19,7 @@ from qstrat.sampling import (
     _child_seeds,
     _pcg64_keys,
     _qs_place,
+    _uniform_values,
     iid_uniform_batches,
     lqs_uniform_batches,
     qs_uniform_batches,
@@ -464,18 +465,19 @@ SIZE_REPS = [(size, reps) for size in SIZES for reps in (1, 7, 20_000)
 PEAK_LIMITS = [("qs", 30, 20), ("lqs", (18, 9, 3), 28), ("iid", 30, 12)]
 
 
-def peak_budget(method, m, reps, generators=0):
+def peak_budget(method, m, reps, generators=0, layer_index=True):
     """The bytes a generator may peak at, fixed from its design: its output
-    (8 B a cell, 16 B for LQS), one row block of 8-byte cells, 16 B per
-    Generator of a sequence (the checked list and a block's slice of it),
-    and 128 KiB for numpy's 8192-element casting buffer and small objects."""
-    output = (16 if method == "lqs" else 8) * reps * m
+    (8 B a cell, 16 B for LQS with its layer index), one row block of 8-byte
+    cells, 16 B per Generator of a sequence (the checked list and a block's
+    slice of it), and 128 KiB for numpy's 8192-element casting buffer and
+    small objects."""
+    output = (16 if method == "lqs" and layer_index else 8) * reps * m
     block = 8 * min(reps, max(1, _BLOCK_CELLS // m)) * m
     return output + block + 16 * generators + 128 * 1024
 
 
-def traced_peak_per_cell(method, size, reps, rng):
-    """The tracemalloc peak of ``uniforms(method, size, reps, rng)`` per
+def traced_peak_per_cell(method, size, reps, rng, draw=uniforms):
+    """The tracemalloc peak of ``draw(method, size, reps, rng)`` per
     (replicate x point) cell, at m = 30."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -483,12 +485,12 @@ def traced_peak_per_cell(method, size, reps, rng):
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        out = uniforms(method, size, reps, rng)
+        out = draw(method, size, reps, rng)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert out[0].shape == (reps, 30)
+    assert (out[0] if isinstance(out, tuple) else out).shape == (reps, 30)
     return peak / (reps * 30)
 
 
@@ -567,6 +569,33 @@ class TestInPlaceGenerators:
         assert peak <= limit
         assert peak <= peak_budget(method, 30, 5000, generators=5000) / (5000 * 30)
 
+    # Per-row Generators skip the 20000-row shapes, which only repeat the
+    # smaller ones row by row.
+    @pytest.mark.parametrize("size,reps,per_row",
+                             [(size, reps, False) for size, reps in SIZE_REPS]
+                             + [(size, reps, True) for size, reps in SIZE_REPS if reps < 20_000])
+    def test_bulk_lqs_uniforms_are_the_indexed_ones(self, size, reps, per_row):
+        # The bulk path shuffles U in place instead of gathering it by an
+        # index; single-layer and all-unit shapes are where a layer's
+        # columns are the whole row or one column.
+        def rng():
+            if per_row:
+                return [np.random.default_rng(s) for s in range(reps)]
+            return np.random.default_rng(reps)
+
+        u = _uniform_values("lqs", size, reps, rng())
+        assert u.dtype == np.float64 and u.flags.c_contiguous
+        assert u.tobytes() == uniforms("lqs", size, reps, rng())[0].tobytes()
+
+    @pytest.mark.parametrize("reps,generators", [(20_000, 0), (5000, 5000)])
+    def test_bulk_lqs_traced_peak_fits_an_8_byte_output(self, reps, generators):
+        # Measured: 9.0 and 12.4 B a cell; with the index, 16.9 and 19.9.
+        rng = ([np.random.default_rng(s) for s in range(reps)] if generators
+               else np.random.default_rng(3))
+        peak = traced_peak_per_cell("lqs", (18, 9, 3), reps, rng, draw=_uniform_values)
+        budget = peak_budget("lqs", 30, reps, generators=generators, layer_index=False)
+        assert peak <= budget / (reps * 30)
+
     @pytest.mark.parametrize("blocks", [(1,), (3, 4), (1, 5, 2, 1), (2, 2, 2, 1, 1)])
     def test_numpy_draws_over_row_blocks_equal_one_call(self, blocks):
         reps, m = sum(blocks), 7
@@ -581,6 +610,37 @@ class TestInPlaceGenerators:
             start += n
         assert u.tobytes() == whole_u.tobytes()
         np.testing.assert_array_equal(p, whole_p)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.float64, "column"])
+    def test_permuted_swaps_do_not_depend_on_dtype_or_stride(self, dtype):
+        # LQS draws its permutations into an int64 view of strided columns
+        # and, without a layer index, shuffles the float64 U itself.
+        reps, m = 5, 9
+        want = np.tile(np.arange(m), (reps, 1))
+        rng_want = np.random.default_rng(6)
+        rng_want.permuted(want, axis=1, out=want)
+        if dtype == "column":
+            a = np.zeros((reps, 3 * m), dtype=np.int64)[:, m:2 * m]
+            assert not a.flags.c_contiguous
+        else:
+            a = np.empty((reps, m), dtype=dtype)
+        a[...] = np.arange(m)
+        rng = np.random.default_rng(6)
+        rng.permuted(a, axis=1, out=a)
+        np.testing.assert_array_equal(a, want)
+        assert rng.random() == rng_want.random()
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_permuting_values_in_place_equals_gathering_by_a_permuted_arange(self, per_row):
+        reps, m = 6, 11
+        u = np.random.default_rng(8).random((reps, m))
+        index, values = np.tile(np.arange(m), (reps, 1)), u.copy()
+        # One Generator per row shuffles its own row; one Generator all rows.
+        rows = [slice(i, i + 1) for i in range(reps)] if per_row else [slice(None)]
+        for i, r in enumerate(rows):
+            for a in (index, values):
+                np.random.default_rng(i).permuted(a[r], axis=1, out=a[r])
+        assert values.tobytes() == np.take_along_axis(u, index, axis=1).tobytes()
 
     def test_maximum_raises_exactly_the_zeros(self):
         # rng.random returns multiples of 2^-53 in [0, 1).

@@ -12,7 +12,8 @@ every artifact whose bytes differ.  The artifacts are:
 
 * every experiment's CSV and JSON (importance_study for both examples,
   qq_export for two families, LQS layers where an experiment takes them),
-* ``qstrat sample`` CSV and JSON for each family and method,
+* ``qstrat sample`` CSV and JSON for each family and method, LQS also with
+  a single layer and with all-unit layers,
 
 each at seeds 1, 7 and 12345, and ``qstrat theory`` with ``--k``, ``--ell``
 and ``--layers`` (it takes no seed).  Each line is the digest, the exit
@@ -50,6 +51,8 @@ SAMPLE_SIZES = (
     ("--method", "iid", "--m", "40"),
     ("--method", "qs", "--m", "40"),
     ("--method", "lqs", "--layers", "5,15,20"),
+    ("--method", "lqs", "--layers", "40"),
+    ("--method", "lqs", "--layers", "1,1,1,1,1,1,1,1"),
 )
 THEORY = (
     ("--m", "12", "--k", "4", "--ell", "3", "--layers", "4,8"),
