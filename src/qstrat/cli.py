@@ -66,6 +66,15 @@ def _parse_ints(text: str | None) -> tuple[int, ...] | None:
         raise DomainError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
+def _check_output_path(path: str | None) -> None:
+    """Raise a usage error, before any work runs, for an output path that is
+    a directory or lies in a missing one (other write failures exit 2)."""
+    if path is not None and os.path.isdir(path):
+        raise DomainError(f"output path {path!r} is a directory")
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise DomainError(f"the directory of output path {path!r} does not exist")
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -158,6 +167,8 @@ def _cmd_theory(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.config is not None:
+        if os.path.isdir(args.config) or not os.path.exists(args.config):
+            raise DomainError(f"config file {args.config!r} does not exist or is a directory")
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 mapping = json.load(fh)
@@ -183,6 +194,7 @@ def _cmd_experiment(args) -> int:
         example=args.example,
         ell=_parse_ints(args.ell),
     )
+    _check_output_path(cfg.output_path)  # a config file may set it
     result = run_experiment(cfg)
     artifact = render_artifact(result, cfg.format)
     _write_output(artifact, cfg.output_path)
@@ -255,6 +267,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        _check_output_path(args.out)
         return args.func(args)
     except QstratError as exc:
         print(f"qstrat: error: {exc}", file=sys.stderr)

@@ -87,6 +87,16 @@ def _join_tails(p, lower, upper, cut, q_cut=0.5):
     return out
 
 
+def _check_finite_quantiles(dist) -> None:
+    """Raise DomainError unless Q(2^-53) and Q(1 - 2^-53) of ``dist`` are
+    finite: no uniform a generator draws lies outside [2^-53, 1 - 2^-53]."""
+    with np.errstate(over="ignore"):
+        ends = dist._quantile_inner(np.array([2.0 ** -53, 1.0 - 2.0 ** -53]))
+    if not np.all(np.isfinite(ends)):
+        raise DomainError(f"{dist!r} has quantiles beyond the float64 range: "
+                          f"Q(2^-53) = {ends[0]}, Q(1 - 2^-53) = {ends[1]}")
+
+
 class Distribution:
     """Base class: a univariate law with pdf, cdf and quantile function.
 
@@ -185,6 +195,7 @@ class Normal(Distribution):
             raise DomainError(f"normal requires finite mu and sigma > 0, got {mu}, {sigma}")
         self.mu = float(mu)
         self.sigma = float(sigma)
+        _check_finite_quantiles(self)
 
     def _logpdf(self, x):
         z = (x - self.mu) / self.sigma
@@ -283,8 +294,10 @@ class Gamma(Distribution):
         self.shape = float(shape)
         self.rate = float(rate)
         self._log_norm = self.shape * math.log(self.rate) - special.gammaln(self.shape)
-        self._median = self._lower(0.5)[0]
-        self._seam = self._upper(_GAMMA_SEAM_Q)
+        with np.errstate(over="ignore"):
+            self._median = self._lower(0.5)[0]
+            self._seam = self._upper(_GAMMA_SEAM_Q)
+        _check_finite_quantiles(self)
 
     def _logpdf(self, x):
         inside = x > 0.0

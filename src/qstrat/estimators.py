@@ -188,15 +188,12 @@ def _estimates(prob: ImportanceProblem, method: str, size, count: int, generator
     its own Generator.  :func:`estimate_replicates` passes
     ``sampling._child_generators``, whose chunk of Generators comes from one
     vectorised SeedSequence pass and is bit for bit
-    ``default_rng(spawn_seed(seed, r))`` for each row r.  The estimates read
-    no layer index, so the chunk's uniforms come from
-    ``sampling._uniform_values``, which builds none: bit for bit
-    ``sampling.uniforms(...)[0]``."""
+    ``default_rng(spawn_seed(seed, r))`` for each row r."""
     rows = max(1, _CHUNK_POINTS // _size_m(method, size))
     out = np.empty(count, dtype=np.float64)
     for start in range(0, count, rows):
         rngs = generators(start, min(start + rows, count))
-        u = sampling._uniform_values(method, size, len(rngs), rngs)
+        u = sampling.uniforms(method, size, len(rngs), rngs)
         weights = importance_weight(prob.proposal.quantile(u), prob)
         out[start:start + len(u)] = np.mean(weights, axis=1)
     return out

@@ -24,7 +24,7 @@ from . import theory
 from .distributions import distribution_from_name
 from .errors import DomainError, check_int, check_name
 from .estimators import BENCHMARKS, estimate_replicates
-from .sampling import _uniform_values, sample_size, spawn_seed
+from .sampling import sample_size, spawn_seed, uniforms
 
 __all__ = [
     "ExperimentConfig",
@@ -200,13 +200,11 @@ def _method_list(cfg: ExperimentConfig) -> list[str]:
 
 
 def _uniform_batches(method: str, cfg: ExperimentConfig, reps: int):
-    """The (reps, m) uniforms of ``method`` from its own seed stream.  No
-    caller reads a layer index, so none is built: an LQS batch peaks at its
-    8-byte output (see :func:`sampling._uniform_values`)."""
+    """The (reps, m) uniforms of ``method`` from its own seed stream."""
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(_METHOD_STREAM[method],))
     )
-    return _uniform_values(method, cfg.layers if method == "lqs" else cfg.m, reps, rng)
+    return uniforms(method, cfg.layers if method == "lqs" else cfg.m, reps, rng)
 
 
 def _z_row(method: str, statistic: str, theory_value: float, values: np.ndarray) -> dict:

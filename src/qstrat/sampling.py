@@ -320,13 +320,6 @@ def _shuffle_rows(a: np.ndarray, rng) -> np.ndarray:
     return _by_row(rng, lambda g, p: g.permuted(p, axis=1, out=p), a)
 
 
-def _permute_rows(perms: np.ndarray, start: int, rng) -> np.ndarray:
-    """Fill the (reps, n) int64 array ``perms`` with an independent uniform
-    permutation of start..start+n-1 per row and return it."""
-    perms[...] = np.arange(start, start + perms.shape[1])
-    return _shuffle_rows(perms, rng)
-
-
 def _qs_place(perms: np.ndarray, r: np.ndarray, m: int, out: np.ndarray) -> None:
     """Write U = (perms - r) / m into ``out`` (which may be r) after clipping
     r in place into [m 2^-52, 1 - m 2^-52]: each U then lies strictly inside
@@ -348,7 +341,9 @@ def _qs_fill(u: np.ndarray, rng) -> np.ndarray:
     output share memory.)
     """
     reps, m = u.shape
-    perms = _permute_rows(u.view(np.int64), 1, rng)
+    perms = u.view(np.int64)
+    perms[...] = np.arange(1, m + 1)
+    _shuffle_rows(perms, rng)
     step = min(reps, max(1, _BLOCK_CELLS // m))
     r_buffer = np.empty((step, m))
     for start in range(0, reps, step):
@@ -394,43 +389,35 @@ def lqs_uniform_batches(layers, reps: int, rng, *, _layer_index: bool = True):
     Returns (uniforms, layer_index), where ``layer_index`` is the 1-based
     layer each point came from.  The final within-row shuffle is a uniform
     permutation of all m positions.  ``rng`` is as :func:`uniforms` takes it.
-    :func:`uniforms` and :func:`sample` return the layer index; the bulk
-    callers, which read none, come through :func:`_uniform_values`, whose
-    private ``_layer_index=False`` gives (uniforms, None) with the same bits.
+    :func:`uniforms` reads no layer index and passes the private
+    ``_layer_index=False``, which gives (uniforms, None) with the same bits.
     """
     spec, reps = _as_layers(layers), check_int(reps, "replicates")
     rng = _checked_rng(rng, reps)
-    m = spec.total
     # Each layer's QS draw is written into its own columns, before the shuffle.
-    u = np.empty((reps, m))
+    u = np.empty((reps, spec.total))
     start = 0
     for mk in spec.sizes:
         _qs_fill(u[:, start:start + mk], rng)
         start += mk
     if not _layer_index:
-        # The shuffle's swaps applied to U itself: U gathered by a shuffled
-        # 0..m-1, bit for bit, with no index array.
         return _shuffle_rows(u, rng), None
-    # The shuffle is applied a row block at a time, over u and over itself:
-    # one flat gather per block (row r of the block reads row r), then the
-    # shuffle's rows become the layer index.
-    shuffle = _permute_rows(np.empty((reps, m), dtype=np.int64), 0, rng)
-    labels = np.repeat(np.arange(1, spec.n_layers + 1, dtype=np.int64), spec.sizes)
-    step = max(1, _BLOCK_CELLS // m)
-    for start in range(0, reps, step):
-        rows = slice(start, start + step)
-        block = shuffle[rows]
-        row_offsets = np.arange(0, block.size, m)[:, None]
-        block += row_offsets
-        u[rows] = u[rows].ravel()[block]
-        block -= row_offsets
-        shuffle[rows] = labels[block]
-    return u, shuffle
+    # The layer index: each Generator shuffles its rows of the labels, is
+    # rewound to its saved state and shuffles its rows of U by the same swaps.
+    layer_index = np.empty_like(u, dtype=np.int64)
+    layer_index[...] = np.repeat(np.arange(1, spec.n_layers + 1), spec.sizes)
+    single = isinstance(rng, np.random.Generator)
+    for i, g in enumerate([rng] if single else rng):
+        rows = slice(None) if single else slice(i, i + 1)
+        state = g.bit_generator.state
+        _shuffle_rows(layer_index[rows], g)
+        g.bit_generator.state = state
+        _shuffle_rows(u[rows], g)
+    return u, layer_index
 
 
-def uniforms(method: str, size, reps: int, rng):
-    """Uniforms of shape (reps, m) drawn by ``method`` (any case, stripped),
-    with the LQS layers.
+def uniforms(method: str, size, reps: int, rng) -> np.ndarray:
+    """Uniforms of shape (reps, m) drawn by ``method`` (any case, stripped).
 
     ``size`` is the sample size m for "iid" and "qs", and the layer sizes
     for "lqs"; ``reps`` is an integer >= 1.  ``rng`` is one
@@ -438,24 +425,15 @@ def uniforms(method: str, size, reps: int, rng):
     Generators: row i is then drawn from rng[i] alone and is bit for bit
     ``uniforms(method, size, 1, rng[i])``, while the arithmetic still runs
     once on all rows.  A sequence of another length, or holding anything but
-    Generators, raises :class:`DomainError`.  Returns (uniforms, layer_index),
-    C-ordered float64 and int64 arrays, layer_index None except for LQS (a
-    point's block is :attr:`SampleBatch.blocks`).  This is the one dispatch
-    from a method name to its batch generator, looked up at call time; a
-    single sample is the ``reps=1`` row.
+    Generators, raises :class:`DomainError`.  Returns the C-ordered float64
+    array, bit for bit the first item of the method's generator, and builds
+    no LQS layer index (:func:`lqs_uniform_batches` returns it).  This is
+    the one dispatch from a method name to its batch generator, looked up at
+    call time; a single sample is the ``reps=1`` row.
     """
     generators = {"iid": iid_uniform_batches, "qs": qs_uniform_batches,
-                  "lqs": lqs_uniform_batches}
-    return generators[check_name(method, METHODS, "method")](size, reps, rng)
-
-
-def _uniform_values(method: str, size, reps: int, rng) -> np.ndarray:
-    """``uniforms(method, size, reps, rng)[0]``, bit for bit, for the bulk
-    callers, which read no layer index: LQS then shuffles U in place and
-    builds none, so its batch peaks at its 8-byte output, as IID and QS do."""
-    if check_name(method, METHODS, "method") == "lqs":
-        return lqs_uniform_batches(size, reps, rng, _layer_index=False)[0]
-    return uniforms(method, size, reps, rng)[0]
+                  "lqs": lambda *args: lqs_uniform_batches(*args, _layer_index=False)}
+    return generators[check_name(method, METHODS, "method")](size, reps, rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -471,16 +449,16 @@ def sample(
     (method, m, layers) are checked by :func:`sample_size`; a given seed must
     be an integer >= 0, and None draws a fresh one.  The batch is the
     ``reps=1`` row of the method's uniform generator pushed through
-    ``dist.quantile``.
+    ``dist.quantile``; an LQS batch also records its layer index.
     """
     method, size = sample_size(method, m, layers)
     seed = _fresh_seed() if seed is None else check_int(seed, "seed", low=0)
-    u, layer_idx = uniforms(method, size, 1, np.random.default_rng(seed))
-    return SampleBatch(
-        method, u[0], dist.quantile(u[0]), seed,
-        layers=size if method == "lqs" else None,
-        layer_index=None if layer_idx is None else layer_idx[0],
-    )
+    rng = np.random.default_rng(seed)
+    if method != "lqs":
+        u = uniforms(method, size, 1, rng)[0]
+        return SampleBatch(method, u, dist.quantile(u), seed)
+    u, index = lqs_uniform_batches(size, 1, rng)
+    return SampleBatch(method, u[0], dist.quantile(u[0]), seed, layers=size, layer_index=index[0])
 
 
 def sample_iid(dist: Distribution, m: int, seed: int | None = None) -> SampleBatch:

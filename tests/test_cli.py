@@ -61,6 +61,13 @@ class TestSampleCommand:
         code, _, err = run_cli(capsys, "sample", "--dist", "cauchy", "--m", "3")
         assert code == 1 and "cauchy" in err
 
+    @pytest.mark.parametrize("params", ["2,1e-320", "0.3,1e-320"])
+    def test_gamma_whose_quantiles_overflow_exits_one(self, capsys, params):
+        code, out, err = run_cli(capsys, "sample", "--dist", "gamma", "--params", params,
+                                 "--method", "qs", "--m", "3")
+        assert code == 1 and out == ""
+        assert "beyond the float64 range" in err
+
     def test_quantile_non_convergence_exits_two(self, capsys, monkeypatch):
         # A numerical failure inside a quantile is a runtime failure, not a
         # usage error: it reaches the CLI's catch-all branch and exits 2.
@@ -197,10 +204,45 @@ class TestExperimentCommand:
         code, _, err = run_cli(capsys, "experiment")
         assert code == 1 and "--name" in err
 
-    def test_unwritable_output_exits_two(self, capsys, tmp_path):
+    def test_unwritable_output_exits_two(self, capsys):
+        # The path is well formed and its directory exists; the write itself
+        # fails (Linux's /dev/full takes no bytes).
         code, _, err = run_cli(capsys, "experiment", "--name", "mse_grid", "--m", "2",
-                               "--out", str(tmp_path / "no_such_dir" / "x.csv"))
+                               "--out", "/dev/full")
         assert code == 2 and "runtime failure" in err
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_config_path_that_is_no_file_exits_one(self, capsys, tmp_path, where):
+        path = str(tmp_path / "no_such.json") if where == "missing" else str(tmp_path)
+        code, out, err = run_cli(capsys, "experiment", "--config", path)
+        assert code == 1 and out == ""
+        assert f"config file {path!r} does not exist or is a directory" in err
+
+    @pytest.mark.parametrize("argv", [("experiment", "--name", "mse_grid", "--m", "2"),
+                                      ("sample", "--m", "3"), ("theory", "--m", "3")])
+    @pytest.mark.parametrize("where,message", [
+        ("missing", "the directory of output path {path!r} does not exist"),
+        ("directory", "output path {path!r} is a directory")])
+    def test_output_path_in_no_directory_exits_one_before_any_work(
+            self, capsys, monkeypatch, tmp_path, argv, where, message):
+        def fail(*args, **kwargs):
+            raise AssertionError("work ran before the output path was checked")
+
+        for name in ("run_experiment", "sample", "distribution_from_name", "sample_size"):
+            monkeypatch.setattr(f"qstrat.cli.{name}", fail)
+        directory = tmp_path / "no_such_dir"
+        path = str(directory / "x.csv") if where == "missing" else str(tmp_path)
+        code, out, err = run_cli(capsys, *argv, "--out", path)
+        assert code == 1 and out == ""
+        assert message.format(path=path) in err
+
+    def test_config_output_path_in_no_directory_exits_one(self, capsys, tmp_path):
+        path = str(tmp_path / "no_such_dir" / "x.csv")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"experiment": "mse_grid", "m": 2, "output_path": path}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(config))
+        assert code == 1 and out == ""
+        assert "does not exist" in err
 
 
 class TestSeedEnvironment:

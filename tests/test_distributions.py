@@ -489,6 +489,21 @@ class TestCustomAndFactory:
         with pytest.raises(DomainError, match=r"requires finite .* got .*inf"):
             build(*args)
 
+    @pytest.mark.parametrize("build,args", [(Gamma, (2, 1e-308)), (Gamma, (0.3, 1e-320)),
+                                            (Normal, (1e308, 1e308)), (Normal, (0, 1e308)),
+                                            (Normal, (-1e308, 1e307))])
+    def test_laws_whose_quantiles_overflow_are_rejected(self, build, args):
+        # Q(2^-53) or Q(1 - 2^-53) passes the float64 maximum.  RuntimeWarnings
+        # are errors here, so the constructor must also not warn.
+        with pytest.raises(DomainError, match=r"beyond the float64 range: Q\(2\^-53\)"):
+            build(*args)
+
+    @pytest.mark.parametrize("dist", [Gamma(2, 1e-300), Gamma(0.3, 1e-280), Normal(0, 1e307),
+                                      Normal(-1e308, 1e306)], ids=repr)
+    def test_laws_near_the_float64_maximum_keep_finite_quantiles(self, dist):
+        q = dist.quantile(np.array([2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]))
+        assert np.all(np.isfinite(q)) and np.all(np.diff(q) > 0)
+
 
 # One law of each family, with the density at 0.5 a finite number.
 NAN_LAWS = [

@@ -19,10 +19,10 @@ from qstrat.sampling import (
     _child_seeds,
     _pcg64_keys,
     _qs_place,
-    _uniform_values,
     iid_uniform_batches,
     lqs_uniform_batches,
     qs_uniform_batches,
+    sample,
     sample_iid,
     sample_lqs,
     sample_qs,
@@ -395,7 +395,7 @@ class TestUniformsDispatch:
 
     @pytest.mark.parametrize("method,size", [("iid", 12), ("qs", 12), ("lqs", (6, 4, 2))])
     def test_single_samples_are_the_first_batch_row(self, method, size):
-        u, layer_idx = uniforms(method, size, 1, np.random.default_rng(8))
+        u, layer_idx = GENERATORS[method](size, 1, np.random.default_rng(8))
         blocks = reference_uniforms(method, size, 1, np.random.default_rng(8))[1]
         batch = {"iid": sample_iid, "qs": sample_qs, "lqs": sample_lqs}[method](
             Gamma(2, 5), size, seed=8
@@ -403,7 +403,7 @@ class TestUniformsDispatch:
         np.testing.assert_array_equal(batch.uniforms, u[0])
         np.testing.assert_array_equal(batch.blocks, blocks[0])
         np.testing.assert_array_equal(batch.values, Gamma(2, 5).quantile(u[0]))
-        assert (layer_idx is None) == (method != "lqs")
+        assert (layer_idx is None) == (batch.layer_index is None) == (method != "lqs")
         if layer_idx is not None:
             np.testing.assert_array_equal(batch.layer_index, layer_idx[0])
             assert batch.layers == LayerSpec(size)
@@ -415,12 +415,17 @@ class TestUniformsDispatch:
     @pytest.mark.parametrize("given,method,size", [("QS", "qs", 9), (" Lqs ", "lqs", (4, 5)),
                                                    ("IID", "iid", 9)])
     def test_method_names_ignore_case_and_spaces(self, given, method, size):
-        u, layer_idx = uniforms(given, size, 3, np.random.default_rng(5))
-        ref_u, ref_idx = uniforms(method, size, 3, np.random.default_rng(5))
+        u = uniforms(given, size, 3, np.random.default_rng(5))
+        ref_u = uniforms(method, size, 3, np.random.default_rng(5))
         assert u.tobytes() == ref_u.tobytes()
-        assert (layer_idx is None) == (ref_idx is None)
-        if layer_idx is not None:
-            np.testing.assert_array_equal(layer_idx, ref_idx)
+        m, layers = (None, size) if method == "lqs" else (size, None)
+        batch = sample(Uniform01(), given, m, seed=5, layers=layers)
+        ref = sample(Uniform01(), method, m, seed=5, layers=layers)
+        assert batch.method == ref.method == method
+        assert batch.uniforms.tobytes() == ref.uniforms.tobytes()
+        assert (batch.layer_index is None) == (ref.layer_index is None)
+        if ref.layer_index is not None:
+            np.testing.assert_array_equal(batch.layer_index, ref.layer_index)
 
 
 def reference_uniforms(method, size, reps, rng):
@@ -462,6 +467,14 @@ SIZE_REPS = [(size, reps) for size in SIZES for reps in (1, 7, 20_000)
              if reps * np.sum(size) <= 10 ** 6] + [((500, 300, 200), 2000)] + BLOCK_SIZE_REPS
 
 
+GENERATORS = {"iid": iid_uniform_batches, "qs": qs_uniform_batches, "lqs": lqs_uniform_batches}
+
+
+def generator_draw(method, size, reps, rng):
+    """The method's generator, which for LQS builds the layer index."""
+    return GENERATORS[method](size, reps, rng)
+
+
 PEAK_LIMITS = [("qs", 30, 20), ("lqs", (18, 9, 3), 28), ("iid", 30, 12)]
 
 
@@ -476,7 +489,7 @@ def peak_budget(method, m, reps, generators=0, layer_index=True):
     return output + block + 16 * generators + 128 * 1024
 
 
-def traced_peak_per_cell(method, size, reps, rng, draw=uniforms):
+def traced_peak_per_cell(method, size, reps, rng, draw=generator_draw):
     """The tracemalloc peak of ``draw(method, size, reps, rng)`` per
     (replicate x point) cell, at m = 30."""
     tracing = tracemalloc.is_tracing()
@@ -504,10 +517,12 @@ class TestInPlaceGenerators:
     def test_bit_equal_to_reference_and_c_ordered(self, method, size, reps):
         m = int(np.sum(size))
         size = size if method == "lqs" else m
-        out = uniforms(method, size, reps, np.random.default_rng(reps + m))
+        u_only = uniforms(method, size, reps, np.random.default_rng(reps + m))
+        out = GENERATORS[method](size, reps, np.random.default_rng(reps + m))
         u, blocks, layer_idx = reference_uniforms(
             method, size, reps, np.random.default_rng(reps + m))
         assert len(out) == 2
+        assert u_only.flags.c_contiguous and u_only.tobytes() == out[0].tobytes()
         assert (out[1] is None) == (layer_idx is None) == (method != "lqs")
         for got, want in zip(out, (u, layer_idx)):
             if want is None:
@@ -527,8 +542,10 @@ class TestInPlaceGenerators:
         m = int(np.sum(size))
         size = size if method == "lqs" else m
         seeds = [spawn_seed(m, r) for r in range(reps)]
-        out = uniforms(method, size, reps, [np.random.default_rng(s) for s in seeds])
-        rows = [uniforms(method, size, 1, np.random.default_rng(s)) for s in seeds]
+        u = uniforms(method, size, reps, [np.random.default_rng(s) for s in seeds])
+        out = GENERATORS[method](size, reps, [np.random.default_rng(s) for s in seeds])
+        rows = [GENERATORS[method](size, 1, np.random.default_rng(s)) for s in seeds]
+        assert u.flags.c_contiguous and u.tobytes() == out[0].tobytes()
         assert (out[1] is None) == (method != "lqs")
         for got, want in zip(out, zip(*rows)):
             if got is None:
@@ -553,8 +570,8 @@ class TestInPlaceGenerators:
 
     @pytest.mark.parametrize("method,size,limit", PEAK_LIMITS)
     def test_traced_peak_bytes_per_cell(self, method, size, limit):
-        # Outputs are 8 B a cell for IID and QS and 16 B for LQS.  Measured:
-        # 8.0, 9.0 and 16.9 B a cell.
+        # Outputs are 8 B a cell for IID and QS and 16 B for LQS with its
+        # layer index.  Measured: 8.0, 9.0 and 16.0 B a cell.
         peak = traced_peak_per_cell(method, size, 20_000, np.random.default_rng(3))
         assert peak <= limit
         assert peak <= peak_budget(method, 30, 20_000) / (20_000 * 30)
@@ -563,7 +580,7 @@ class TestInPlaceGenerators:
     def test_traced_peak_bytes_per_cell_generator_per_row(self, method, size, limit):
         # Each Generator draws into a view of one row of the same arrays;
         # only the list of Generators is added.  Measured: 8.3, 12.3 and
-        # 19.9 B a cell, the block being larger against 5000 rows.
+        # 16.3 B a cell, the block being larger against 5000 rows.
         rngs = [np.random.default_rng(s) for s in range(5000)]
         peak = traced_peak_per_cell(method, size, len(rngs), rngs)
         assert peak <= limit
@@ -583,16 +600,33 @@ class TestInPlaceGenerators:
                 return [np.random.default_rng(s) for s in range(reps)]
             return np.random.default_rng(reps)
 
-        u = _uniform_values("lqs", size, reps, rng())
+        u = uniforms("lqs", size, reps, rng())
         assert u.dtype == np.float64 and u.flags.c_contiguous
-        assert u.tobytes() == uniforms("lqs", size, reps, rng())[0].tobytes()
+        assert u.tobytes() == lqs_uniform_batches(size, reps, rng())[0].tobytes()
+
+    @pytest.mark.parametrize("size", [(18, 9, 3), (12,), (1,) * 6, (_BLOCK_CELLS // 2 + 3, 2)])
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_layer_index_leaves_each_generator_where_the_bulk_path_does(self, size, per_row):
+        # The index path rewinds each Generator before it shuffles U, so it
+        # must leave every Generator at the state the bulk path leaves it.
+        reps = 3
+
+        def rngs():
+            return [np.random.default_rng(s) for s in range(reps if per_row else 1)]
+
+        bulk, indexed = rngs(), rngs()
+        uniforms("lqs", size, reps, bulk if per_row else bulk[0])
+        lqs_uniform_batches(size, reps, indexed if per_row else indexed[0])
+        for a, b in zip(bulk, indexed):
+            assert a.bit_generator.state == b.bit_generator.state
+            assert a.random(4).tobytes() == b.random(4).tobytes()
 
     @pytest.mark.parametrize("reps,generators", [(20_000, 0), (5000, 5000)])
     def test_bulk_lqs_traced_peak_fits_an_8_byte_output(self, reps, generators):
-        # Measured: 9.0 and 12.4 B a cell; with the index, 16.9 and 19.9.
+        # Measured: 9.0 and 12.4 B a cell; with the index, 16.0 and 16.3.
         rng = ([np.random.default_rng(s) for s in range(reps)] if generators
                else np.random.default_rng(3))
-        peak = traced_peak_per_cell("lqs", (18, 9, 3), reps, rng, draw=_uniform_values)
+        peak = traced_peak_per_cell("lqs", (18, 9, 3), reps, rng, draw=uniforms)
         budget = peak_budget("lqs", 30, reps, generators=generators, layer_index=False)
         assert peak <= budget / (reps * 30)
 
@@ -610,6 +644,35 @@ class TestInPlaceGenerators:
             start += n
         assert u.tobytes() == whole_u.tobytes()
         np.testing.assert_array_equal(p, whole_p)
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("column", [False, True])
+    def test_permuted_replays_after_rewinding_the_state(self, per_row, column):
+        # LQS builds its layer index this way: int64 labels shuffled, the
+        # Generator rewound, then the float64 U shuffled by the same swaps.
+        reps, m = 6, 11
+        u = np.random.default_rng(8).random((reps, m))
+
+        def array(dtype):
+            if not column:
+                return np.empty((reps, m), dtype=dtype)
+            wide = np.zeros((reps, 3 * m), dtype=dtype)[:, m:2 * m]
+            assert not wide.flags.c_contiguous
+            return wide
+
+        index, values, alone = array(np.int64), array(np.float64), u.copy()
+        index[...], values[...] = np.arange(m), u
+        rows = [slice(i, i + 1) for i in range(reps)] if per_row else [slice(None)]
+        for i, r in enumerate(rows):
+            g, g_alone = np.random.default_rng(i), np.random.default_rng(i)
+            state = g.bit_generator.state
+            g.permuted(index[r], axis=1, out=index[r])
+            g.bit_generator.state = state
+            g.permuted(values[r], axis=1, out=values[r])
+            g_alone.permuted(alone[r], axis=1, out=alone[r])
+            assert g.random() == g_alone.random()
+        assert np.ascontiguousarray(values).tobytes() == alone.tobytes()
+        assert alone.tobytes() == np.take_along_axis(u, index, axis=1).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.float64, "column"])
     def test_permuted_swaps_do_not_depend_on_dtype_or_stride(self, dtype):
