@@ -8,7 +8,7 @@ experiment  Run a reproducible experiment (moment_check, qq_export,
             mse_grid, spacing_check, importance_study).
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime failure.
-The environment variable QSTRAT_SEED overrides the built-in default seed.
+Seed precedence: --seed > a config file's seed > QSTRAT_SEED > the default 42.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
     Table,
-    apply_overrides,
     config_from_mapping,
     render_artifact,
     report_to_json,
@@ -38,9 +37,7 @@ from .sampling import METHODS, sample, sample_size
 
 
 def _default_seed() -> int:
-    env = os.environ.get("QSTRAT_SEED")
-    if env is None:
-        return DEFAULT_SEED
+    env = os.environ.get("QSTRAT_SEED", str(DEFAULT_SEED))
     try:
         seed = int(env)
     except ValueError:
@@ -48,27 +45,29 @@ def _default_seed() -> int:
     return check_int(seed, "QSTRAT_SEED", low=0)
 
 
-def _parse_floats(text: str | None) -> tuple[float, ...]:
-    if not text:
-        return ()
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise DomainError(f"expected a comma-separated number list, got {text!r}") from None
+def _number_list(kind, what: str):
+    """An argparse ``type`` reading comma-separated ``kind`` values as a tuple;
+    empty text means the flag was not given (None)."""
+    def parse(text: str):
+        if not text:
+            return None
+        try:
+            return tuple(kind(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated {what} list, got {text!r}") from None
+    return parse
 
 
-def _parse_ints(text: str | None) -> tuple[int, ...] | None:
-    if not text:
-        return None
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise DomainError(f"expected a comma-separated integer list, got {text!r}") from None
+_floats = _number_list(float, "number")
+_ints = _number_list(int, "integer")
 
 
 def _check_output_path(path: str | None) -> None:
     """Raise a usage error, before any work runs, for an output path that is
-    a directory or lies in a missing one (other write failures exit 2)."""
+    empty, a directory or in a missing one (other write failures exit 2)."""
+    if path == "":
+        raise DomainError("output path is empty")
     if path is not None and os.path.isdir(path):
         raise DomainError(f"output path {path!r} is a directory")
     if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
@@ -88,17 +87,18 @@ def _write_output(text: str, path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_sample(args) -> int:
-    dist = distribution_from_name(args.dist, _parse_floats(args.params))
+    params = args.params or ()
+    dist = distribution_from_name(args.dist, params)
     seed = args.seed if args.seed is not None else _default_seed()
     if args.method != "lqs" and args.m is None:
         raise DomainError("--m is required for iid and qs sampling")
-    batch = sample(dist, args.method, args.m, seed=seed, layers=_parse_ints(args.layers))
+    batch = sample(dist, args.method, args.m, seed=seed, layers=args.layers)
 
     if args.format == "json":
         payload = {
             "method": batch.method,
             "dist": args.dist,
-            "params": list(_parse_floats(args.params)),
+            "params": list(params),
             "m": batch.m,
             "seed": batch.seed,
             "layers": list(batch.layers.sizes) if batch.layers else None,
@@ -108,7 +108,7 @@ def _cmd_sample(args) -> int:
         }
         if batch.layer_index is not None:
             payload["layer_index"] = batch.layer_index.tolist()
-        _write_output(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _write_output(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output_path)
     else:
         columns = {
             "index": list(range(1, batch.m + 1)),
@@ -118,7 +118,7 @@ def _cmd_sample(args) -> int:
         }
         if batch.layer_index is not None:
             columns["layer"] = batch.layer_index
-        _write_output(rows_to_csv(Table(columns)), args.out)
+        _write_output(rows_to_csv(Table(columns)), args.output_path)
     return 0
 
 
@@ -128,12 +128,11 @@ def _cmd_sample(args) -> int:
 
 def _cmd_theory(args) -> int:
     _, m = sample_size("qs", args.m)
-    layers = _parse_ints(args.layers)
     out: dict = {"m": m}
     if m >= 2:
         out["qs_moments"] = dataclasses.asdict(theory.qs_uniform_moments(m))
-    if layers is not None:
-        _, spec = sample_size("lqs", m, layers)
+    if args.layers is not None:
+        _, spec = sample_size("lqs", m, args.layers)
         out["layers"] = list(spec.sizes)
         out["lqs_moments"] = dataclasses.asdict(theory.lqs_uniform_moments(spec))
         out["adjustment_factor"] = theory.adj_factor(spec)
@@ -157,7 +156,7 @@ def _cmd_theory(args) -> int:
             method: dataclasses.asdict(theory.spacing_law(m, args.ell, method))
             for method in ("iid", "qs")
         }
-    _write_output(json.dumps(out, indent=2, sort_keys=True) + "\n", args.out)
+    _write_output(json.dumps(out, indent=2, sort_keys=True) + "\n", args.output_path)
     return 0
 
 
@@ -166,6 +165,9 @@ def _cmd_theory(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_experiment(args) -> int:
+    if args.config is None and args.experiment is None:
+        raise DomainError("--name (or --config) is required")
+    mapping = {}
     if args.config is not None:
         if os.path.isdir(args.config) or not os.path.exists(args.config):
             raise DomainError(f"config file {args.config!r} does not exist or is a directory")
@@ -174,30 +176,17 @@ def _cmd_experiment(args) -> int:
                 mapping = json.load(fh)
             except ValueError as exc:  # not JSON, or not UTF-8
                 raise DomainError(f"config file {args.config!r} is not valid JSON: {exc}") from None
-        if args.name is not None and isinstance(mapping, dict):
-            mapping["experiment"] = args.name
-        cfg = config_from_mapping(mapping)
-    else:
-        if args.name is None:
-            raise DomainError("--name (or --config) is required")
-        cfg = ExperimentConfig(experiment=args.name, seed=_default_seed())
-    cfg = apply_overrides(
-        cfg,
-        dist=args.dist,
-        params=_parse_floats(args.params) if args.params else None,
-        m=args.m,
-        layers=_parse_ints(args.layers),
-        replicates=args.replicates,
-        seed=args.seed,
-        output_path=args.out,
-        format=args.format,
-        example=args.example,
-        ell=_parse_ints(args.ell),
-    )
+    if isinstance(mapping, dict):  # config_from_mapping rejects anything else
+        # The flags given win over the file, and QSTRAT_SEED is read only
+        # when neither sets the seed.
+        mapping.update((name, value) for name, value in vars(args).items()
+                       if name in ExperimentConfig.__dataclass_fields__ and value is not None)
+        if "seed" not in mapping:
+            mapping["seed"] = _default_seed()
+    cfg = config_from_mapping(mapping)
     _check_output_path(cfg.output_path)  # a config file may set it
     result = run_experiment(cfg)
-    artifact = render_artifact(result, cfg.format)
-    _write_output(artifact, cfg.output_path)
+    _write_output(render_artifact(result, cfg.format), cfg.output_path)
     if cfg.output_path is not None:
         # Artifact went to a file; surface the report on stdout.
         sys.stdout.write(report_to_json(result, include_rows=False))
@@ -213,19 +202,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qstrat",
         description="Quantile-stratified sampling toolkit",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_sample = sub.add_parser("sample", help="draw one sample batch")
     p_sample.add_argument("--dist", default="uniform",
                           help="uniform | normal | beta | gamma | discrete")
-    p_sample.add_argument("--params", default="",
+    p_sample.add_argument("--params", type=_floats, default=None,
                           help="comma-separated distribution parameters")
     p_sample.add_argument("--method", default="qs", choices=METHODS)
     p_sample.add_argument("--m", type=int, default=None, help="sample size")
-    p_sample.add_argument("--layers", default=None,
+    p_sample.add_argument("--layers", type=_ints, default=None,
                           help="comma-separated LQS layer sizes")
     p_sample.add_argument("--seed", type=int, default=None)
-    p_sample.add_argument("--out", default=None, help="output path (default stdout)")
     p_sample.add_argument("--format", default="csv", choices=("csv", "json"))
     p_sample.set_defaults(func=_cmd_sample)
 
@@ -233,27 +221,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_theory.add_argument("--m", type=int, required=True)
     p_theory.add_argument("--k", type=int, default=None, help="order statistic index")
     p_theory.add_argument("--ell", type=int, default=None, help="spacing lag")
-    p_theory.add_argument("--layers", default=None,
+    p_theory.add_argument("--layers", type=_ints, default=None,
                           help="comma-separated LQS layer sizes")
-    p_theory.add_argument("--out", default=None)
     p_theory.set_defaults(func=_cmd_theory)
 
     p_exp = sub.add_parser("experiment", help="run a reproducible experiment")
-    p_exp.add_argument("--name", default=None, choices=tuple(sorted(EXPERIMENTS)))
+    # Destinations are the ExperimentConfig field names the flags set.
+    p_exp.add_argument("--name", dest="experiment", default=None,
+                       choices=tuple(sorted(EXPERIMENTS)))
     p_exp.add_argument("--config", default=None, help="JSON config file")
     p_exp.add_argument("--dist", default=None)
-    p_exp.add_argument("--params", default=None)
+    p_exp.add_argument("--params", type=_floats, default=None)
     p_exp.add_argument("--m", type=int, default=None)
-    p_exp.add_argument("--layers", default=None)
+    p_exp.add_argument("--layers", type=_ints, default=None)
     p_exp.add_argument("--replicates", type=int, default=None)
     p_exp.add_argument("--seed", type=int, default=None)
-    p_exp.add_argument("--out", default=None)
     p_exp.add_argument("--format", default=None, choices=("csv", "json"))
     p_exp.add_argument("--example", default=None,
                        help="benchmark integral for importance_study (a or b)")
-    p_exp.add_argument("--ell", default=None,
+    p_exp.add_argument("--ell", type=_ints, default=None,
                        help="comma-separated spacing lags for spacing_check")
     p_exp.set_defaults(func=_cmd_experiment)
+    for p in (p_sample, p_theory, p_exp):  # main checks it before any work runs
+        p.add_argument("--out", dest="output_path", default=None, help="default stdout")
     return parser
 
 
@@ -263,11 +253,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
-        _check_output_path(args.out)
+        _check_output_path(args.output_path)
         return args.func(args)
     except QstratError as exc:
         print(f"qstrat: error: {exc}", file=sys.stderr)

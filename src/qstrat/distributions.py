@@ -205,7 +205,14 @@ class Normal(Distribution):
         return special.ndtr((x - self.mu) / self.sigma)
 
     def _quantile_inner(self, p):
-        return self.mu + self.sigma * special.ndtri(p)
+        with np.errstate(over="ignore"):
+            x = self.mu + self.sigma * special.ndtri(p)
+        # Q is finite on [2^-53, 1 - 2^-53] (checked when built); below, it can
+        # overflow.
+        low = np.isinf(x) & (p < 2.0 ** -53)
+        if low.any():
+            raise DomainError(f"Q({float(p[low][0])!r}) of {self!r} is beyond the float64 range")
+        return x
 
     def params(self):
         return {"mu": self.mu, "sigma": self.sigma}
@@ -449,9 +456,10 @@ def conditional_pdf(dist: Distribution, m: int, s: int, x):
     """Density of a value drawn from block ``s`` of the ``m``-block partition:
     m * f(x) on (w_{s-1}, w_s], zero elsewhere, and NaN at a NaN x."""
     m, s = _check_block_index(m, s)
-    w = block_boundaries(dist, m).boundaries
+    lo = dist.support[0] if s == 1 else dist.quantile((s - 1) / m)
+    hi = dist.support[1] if s == m else dist.quantile(s / m)
     return _elementwise(_nan_at_nan(
-        lambda x: np.where((x > w[s - 1]) & (x <= w[s]), m * dist.pdf(x), 0.0)), x)
+        lambda x: np.where((x > lo) & (x <= hi), m * dist.pdf(x), 0.0)), x)
 
 
 def conditional_cdf(dist: Distribution, m: int, s: int, x):

@@ -15,7 +15,7 @@ import csv
 import io
 import json
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, islice
 
 import numpy as np
@@ -68,15 +68,15 @@ _METHOD_STREAM = {"iid": 0, "qs": 1, "lqs": 2}
 class ExperimentConfig:
     """Inputs of one experiment run, checked when the config is built.
 
-    ``dist``/``params`` specify the sampling distribution where one is
-    needed; ``layers`` adds the LQS method to method-comparison experiments
-    and must sum to ``m``.  ``ell`` is the spacing-lag list for the spacing
-    check and ``example`` picks the benchmark integral ("a" or "b") for the
-    importance study.  m, layers, replicates and ell are integers >= 1 and
-    the seed an integer >= 0, stored as Python ints (layers and ell as
-    tuples; one lag may be given bare); the experiment, format and example
-    names are stored in lower case.  ``qq_export`` builds its distribution
-    once to check dist and params (kept as given, in a tuple).
+    ``dist``/``params`` specify the sampling distribution where one is needed;
+    ``layers`` adds the LQS method to method-comparison experiments and must
+    sum to ``m``.  ``ell`` is the spacing-lag list for the spacing check and
+    ``example`` picks the benchmark integral ("a" or "b") for the importance
+    study.  m, layers, replicates and ell are integers >= 1 and the seed an
+    integer >= 0, stored as Python ints (layers and ell as tuples; one lag may
+    be given bare); the experiment, format and example names are stored in
+    lower case, and ``output_path`` is None or a string.  ``qq_export`` builds
+    its distribution once to check dist and params (kept as given, in a tuple).
     moment_check, spacing_check and importance_study report a spread across
     replicates and need replicates >= 2.  A bad field raises DomainError.
     """
@@ -115,6 +115,8 @@ class ExperimentConfig:
         if experiment == "qq_export":
             distribution_from_name(self.dist, self.params)
             checked["params"] = tuple(self.params)
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise DomainError(f"output_path must be a string, got {self.output_path!r}")
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
@@ -193,10 +195,7 @@ class ExperimentResult:
 
 
 def _method_list(cfg: ExperimentConfig) -> list[str]:
-    methods = ["iid", "qs"]
-    if cfg.layers is not None:
-        methods.append("lqs")
-    return methods
+    return ["iid", "qs"] if cfg.layers is None else ["iid", "qs", "lqs"]
 
 
 def _uniform_batches(method: str, cfg: ExperimentConfig, reps: int):
@@ -207,19 +206,25 @@ def _uniform_batches(method: str, cfg: ExperimentConfig, reps: int):
     return uniforms(method, cfg.layers if method == "lqs" else cfg.m, reps, rng)
 
 
+def _mean_se_z(values: np.ndarray, theory_value: float) -> tuple[float, float, float]:
+    """Mean of per-replicate ``values``, its SE std(ddof=1) / sqrt(n), and its
+    z-score against ``theory_value`` (0 when the SE is 0)."""
+    mean = float(np.mean(values))
+    se = float(np.std(values, ddof=1) / np.sqrt(values.size))
+    return mean, se, float((mean - theory_value) / se) if se > 0 else 0.0
+
+
 def _z_row(method: str, statistic: str, theory_value: float, values: np.ndarray) -> dict:
     """Statistic row from per-replicate values: empirical mean, SE, z-score."""
-    emp = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / np.sqrt(values.size))
-    z = (emp - theory_value) / se if se > 0 else 0.0
+    emp, se, z = _mean_se_z(values, theory_value)
     return {
         "method": method,
         "statistic": statistic,
         "theory": float(theory_value),
         "empirical": emp,
         "std_error": se,
-        "z": float(z),
-        "passed": bool(abs(z) <= Z_LIMIT),
+        "z": z,
+        "passed": abs(z) <= Z_LIMIT,
     }
 
 
@@ -365,13 +370,8 @@ def run_spacing_check(cfg: ExperimentConfig) -> ExperimentResult:
             d = u[np.arange(reps), k + ell - 1] - u[np.arange(reps), k - 1]
             law = theory.spacing_law(m, ell, method)
             ks_stat, ks_p = stats.kstest(d, law.cdf)
-            mean_emp = float(d.mean())
-            mean_se = float(d.std(ddof=1) / np.sqrt(reps))
-            sq = (d - law.mean) ** 2
-            var_emp = float(sq.mean())
-            var_se = float(sq.std(ddof=1) / np.sqrt(reps))
-            mean_z = (mean_emp - law.mean) / mean_se
-            var_z = (var_emp - law.variance) / var_se
+            mean_emp, mean_se, mean_z = _mean_se_z(d, law.mean)
+            var_emp, var_se, var_z = _mean_se_z((d - law.mean) ** 2, law.variance)
             rows.append(
                 {
                     "method": method,
@@ -429,12 +429,11 @@ def run_importance_study(cfg: ExperimentConfig) -> ExperimentResult:
         columns["method"] += [method] * reps
         columns["replicate"] += range(1, reps + 1)
         columns["estimate"] += study.estimates.tolist()
-        se_of_mean = study.std_err / np.sqrt(reps)
         summary[method] = {
             "mean": study.mean,
             "std_err": study.std_err,
             "rmse": study.rmse,
-            "z_vs_true": float((study.mean - prob.true_value) / se_of_mean),
+            "z_vs_true": _mean_se_z(study.estimates, prob.true_value)[2],
         }
     report = {
         "experiment": "importance_study",
@@ -624,25 +623,19 @@ def report_to_json(result: ExperimentResult, include_rows: bool = True) -> str:
 
 
 def render_artifact(result: ExperimentResult, fmt: str) -> str:
-    if fmt == "csv":
-        return rows_to_csv(result.rows)
-    return report_to_json(result)
+    return rows_to_csv(result.rows) if fmt == "csv" else report_to_json(result)
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Build a config from a JSON-compatible mapping (e.g. a config file).
-    Anything but a dict, or a key that is not a config field, raises
-    :class:`DomainError`."""
+    Anything but a dict, a key that is not a config field, or no
+    "experiment" key raises :class:`DomainError`."""
     if not isinstance(mapping, dict):
         raise DomainError(f"a config must be a JSON object, got {type(mapping).__name__}")
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(mapping) - known
+    unknown = set(mapping) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise DomainError(f"unknown config keys: {sorted(unknown)}")
+    if "experiment" not in mapping:
+        raise DomainError('a config must name its "experiment"')
     return ExperimentConfig(**mapping)
 
-
-def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """Replace config fields with any non-None override values."""
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, **updates) if updates else cfg

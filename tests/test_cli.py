@@ -1,16 +1,23 @@
 """CLI surface: subcommands, exit codes, artifact determinism and the
 QSTRAT_SEED environment override."""
 
+import contextlib
 import importlib.util
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qstrat.cli import main
 from qstrat.distributions import Gamma
+from qstrat.experiments import EXPERIMENTS
 
 
 def run_cli(capsys, *argv):
@@ -267,6 +274,211 @@ class TestSeedEnvironment:
         code, _, err = run_cli(capsys, "sample", "--dist", "uniform", "--m", "4",
                                "--method", "qs")
         assert code == 1 and "QSTRAT_SEED" in err
+
+
+class TestOneConfigPath:
+    """The config file, the flags and QSTRAT_SEED are merged into one mapping,
+    checked once: flag > config file > QSTRAT_SEED > the default seed."""
+
+    def write(self, tmp_path, mapping):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(mapping))
+        return str(config)
+
+    def test_a_flag_mends_a_bad_config_field(self, capsys, tmp_path):
+        config = self.write(tmp_path, {"experiment": "mse_grid", "m": 0})
+        code, out, err = run_cli(capsys, "experiment", "--config", config, "--m", "2")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "experiment", "--name", "mse_grid", "--m", "2")[1]
+
+    def test_env_seed_sets_the_seed_a_config_leaves_out(self, capsys, tmp_path, monkeypatch):
+        config = self.write(tmp_path, {"experiment": "moment_check", "m": 3, "replicates": 4,
+                                       "format": "json"})
+        _, explicit, _ = run_cli(capsys, "experiment", "--config", config, "--seed", "5")
+        monkeypatch.setenv("QSTRAT_SEED", "5")
+        code, out, _ = run_cli(capsys, "experiment", "--config", config)
+        assert code == 0 and json.loads(out)["seed"] == 5
+        assert out == explicit
+
+    @pytest.mark.parametrize("where", ["flag", "flag over a config", "config"])
+    def test_a_given_seed_leaves_a_bad_env_seed_unread(self, capsys, tmp_path, monkeypatch,
+                                                      where):
+        monkeypatch.setenv("QSTRAT_SEED", "bad")
+        source = (("--name", "mse_grid", "--m", "2") if where == "flag" else
+                  ("--config", self.write(tmp_path, {"experiment": "mse_grid", "m": 2,
+                                                     "seed": 3})))
+        flags = ("--seed", "3") if where.startswith("flag") else ()
+        code, _, err = run_cli(capsys, "experiment", *source, *flags)
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("value", [5, 2.5, True, ["x.csv"], {"path": "x.csv"}])
+    def test_non_string_config_output_path_exits_one(self, capsys, tmp_path, value):
+        config = self.write(tmp_path, {"experiment": "mse_grid", "m": 2, "output_path": value})
+        code, out, err = run_cli(capsys, "experiment", "--config", config)
+        assert code == 1 and out == ""
+        assert f"output_path must be a string, got {value!r}" in err
+
+    def test_config_without_an_experiment_exits_one(self, capsys, tmp_path):
+        config = self.write(tmp_path, {"m": 3})
+        code, out, err = run_cli(capsys, "experiment", "--config", config)
+        assert code == 1 and out == ""
+        assert 'a config must name its "experiment"' in err
+
+    @pytest.mark.parametrize("argv", [("experiment", "--name", "mse_grid", "--m", "2"),
+                                      ("sample", "--m", "3"), ("theory", "--m", "3")])
+    def test_empty_output_path_exits_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--out", "")
+        assert code == 1 and out == ""
+        assert "output path is empty" in err
+
+    @pytest.mark.parametrize("argv,flag,kind", [
+        (("sample", "--m", "3"), "--params", "number"),
+        (("sample", "--method", "lqs"), "--layers", "integer"),
+        (("theory", "--m", "3"), "--layers", "integer"),
+        (("experiment", "--name", "qq_export"), "--params", "number"),
+        (("experiment", "--name", "moment_check"), "--layers", "integer"),
+        (("experiment", "--name", "spacing_check"), "--ell", "integer"),
+    ])
+    def test_bad_list_flag_exits_one_naming_the_list(self, capsys, argv, flag, kind):
+        code, out, err = run_cli(capsys, *argv, flag, "1,x")
+        assert code == 1 and out == ""
+        assert f"argument {flag}: expected a comma-separated {kind} list, got '1,x'" in err
+
+    def test_empty_list_flag_is_not_given(self, capsys, tmp_path):
+        config = self.write(tmp_path, {"experiment": "moment_check", "m": 3, "replicates": 4,
+                                       "layers": [1, 2], "format": "json"})
+        _, out, _ = run_cli(capsys, "experiment", "--config", config)
+        code, out_empty, _ = run_cli(capsys, "experiment", "--config", config, "--layers", "")
+        assert code == 0 and out_empty == out
+        assert json.loads(out)["layers"] == [1, 2]
+
+
+# Values a config field may hold in a drawn config file.
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(-1, 3) | st.floats(-2, 2) | st.text(max_size=2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+)
+# Flag text: short tokens, and free text with no digit, so that no drawn
+# number is large.
+TEXT = st.sampled_from(["", "0", "1", "2", "3", "-1", "2.5", "1,2", "1,,2", "nan", "inf",
+                        "1e-320", "qs", "normal", "json", "a"]) | st.text(",.-+ ex_a", max_size=4)
+FAMILIES = [("uniform", []), ("normal", [0, 1]), ("beta", [0.5, 2]), ("gamma", [2, 5]),
+            ("discrete", [0, 0.5, 1, 0.5])]
+
+
+def mostly(valid, junk):
+    """``valid`` nine times in ten, else ``junk``."""
+    return st.integers(0, 9).flatmap(lambda i: junk if i == 0 else valid)
+
+
+@st.composite
+def config_files(draw):
+    """A JSON object over ExperimentConfig's fields, most values valid.  m and
+    replicates are always set and small, so that each run takes milliseconds;
+    '<file>' and '<missing dir>' stand for output paths (see paths_in)."""
+    dist, params = draw(st.sampled_from(FAMILIES))
+    valid = {
+        "experiment": st.sampled_from(sorted(EXPERIMENTS)),
+        "m": st.integers(2, 6),
+        "replicates": st.integers(2, 5),
+        "dist": st.just(dist),
+        "params": st.just(params),
+        "layers": st.none() | st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        "seed": st.integers(0, 2 ** 40),
+        "output_path": st.sampled_from([None, "<file>"]),
+        "format": st.sampled_from(["csv", "json", " JSON "]),
+        "example": st.sampled_from(["a", "b"]),
+        "ell": st.integers(1, 2) | st.lists(st.integers(1, 2), min_size=1, max_size=2),
+    }
+    junk = {
+        "experiment": st.nothing(),
+        "replicates": JSON_VALUES.filter(lambda v: v is not None),  # None runs 100000
+        "output_path": st.one_of(st.integers(), st.floats(), st.booleans(),
+                                 st.lists(st.integers(), max_size=2), st.just("<missing dir>")),
+    }
+    return {name: draw(mostly(strategy, junk.get(name, JSON_VALUES)))
+            for name, strategy in valid.items()
+            if name in ("experiment", "m", "replicates") or draw(st.booleans())}
+
+
+LAYER_FLAGS = ["3", "1,2", "1,1,1"]
+FAMILY_FLAGS = ["uniform", "normal --params 0,1", "beta --params 0.5,2", "gamma --params 2,5",
+                "discrete --params 0,0.5,1,0.5"]
+# Valid values of each subcommand's flags, and the flags every argv starts
+# with (drawn flags may override them); m and replicates stay small.
+FLAG_VALUES = {
+    "sample": {"--dist": FAMILY_FLAGS, "--method": ["iid", "qs", "lqs"], "--m": ["1", "3"],
+               "--layers": LAYER_FLAGS, "--seed": ["0", "7", "123456789"],
+               "--format": ["csv", "json"]},
+    "theory": {"--m": ["1", "3", "6"], "--k": ["1", "3"], "--ell": ["1", "2"],
+               "--layers": LAYER_FLAGS},
+    "experiment": {"--name": sorted(EXPERIMENTS), "--dist": FAMILY_FLAGS, "--m": ["2", "3"],
+                   "--layers": LAYER_FLAGS, "--replicates": ["2", "3"], "--seed": ["0", "7"],
+                   "--format": ["csv", "json"], "--example": ["a", "b"], "--ell": ["1", "1,2"]},
+}
+HEADS = {"sample": ["--m", "3"], "theory": ["--m", "3"],
+         "experiment": ["--name", "mse_grid", "--m", "3", "--replicates", "3"]}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with drawn flags, most of them valid; '<file>',
+    '<missing dir>' and '<dir>' stand for output paths (see paths_in)."""
+    command = draw(st.sampled_from(sorted(FLAG_VALUES)))
+    argv = [command, *HEADS[command]]
+    flags = FLAG_VALUES[command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=5)):
+        valid = st.sampled_from(flags[flag]).map(str.split)
+        argv += [flag, *draw(mostly(valid, TEXT.map(lambda text: [text])))]
+    out = draw(mostly(st.sampled_from([None, "<file>"]),
+                      st.sampled_from(["<missing dir>", "<dir>"])))
+    return argv if out is None else [*argv, "--out", out]
+
+
+def paths_in(directory):
+    """The paths that '<file>', '<missing dir>' and '<dir>' stand for."""
+    return {"<file>": os.path.join(directory, "out.txt"),
+            "<missing dir>": os.path.join(directory, "no_such_dir", "out.txt"),
+            "<dir>": directory}
+
+
+def run_in(directory, argv):
+    """main(argv), with the stand-ins of ``paths_in(directory)`` replaced;
+    returns (exit code, stdout, stderr)."""
+    paths = paths_in(directory)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([paths.get(arg, arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_usage_contract(code, out, err):
+    """Exit 0, or exit 1 with nothing on stdout; never a runtime failure."""
+    assert code in (0, 1), err
+    assert code == 0 or out == ""
+    assert "runtime failure" not in err
+
+
+class TestCliContractSweep:
+    """Drawn config files and argv: every input either runs or is a usage error."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(config=config_files())
+    def test_config_files(self, config):
+        with tempfile.TemporaryDirectory() as directory:
+            if isinstance(config.get("output_path"), str):
+                config["output_path"] = paths_in(directory)[config["output_path"]]
+            path = os.path.join(directory, "cfg.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            assert_usage_contract(*run_in(directory, ["experiment", "--config", path]))
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(argv=argvs())
+    def test_argv(self, argv):
+        with tempfile.TemporaryDirectory() as directory:
+            assert_usage_contract(*run_in(directory, argv))
 
 
 class TestUsageErrors:

@@ -409,6 +409,33 @@ class TestConditionalLaws:
         assert val == pytest.approx(1.0, abs=1e-9)
         assert conditional_pdf(Beta(2, 2), 4, 2, w[1] / 2) == 0.0
 
+    @pytest.mark.parametrize("dist", CONTINUOUS + [Gamma(0.3, 5.0), Beta(0.5, 2.0)], ids=repr)
+    @pytest.mark.parametrize("m", [1, 2, 7, 1000])
+    def test_conditional_pdf_matches_the_block_boundaries(self, dist, m):
+        # The block's two edges are read on their own; the density must equal
+        # the one built from the whole partition, bit for bit, at the first,
+        # an interior and the last block, on and next to every edge.
+        w = block_boundaries(dist, m).boundaries
+        finite = w[np.isfinite(w)]
+        x = np.concatenate([finite, np.nextafter(finite, -np.inf), np.nextafter(finite, np.inf),
+                            dist.quantile(np.linspace(0.01, 0.99, 41)), [-60.0, 60.0]])
+        for s in sorted({1, (m + 1) // 2, m}):
+            expected = np.where((x > w[s - 1]) & (x <= w[s]), m * dist.pdf(x), 0.0)
+            np.testing.assert_array_equal(conditional_pdf(dist, m, s, x), expected)
+
+    def test_conditional_pdf_evaluates_two_quantiles(self, monkeypatch):
+        dist = Beta(2.0, 2.0)
+        points = []
+
+        def counted(p, quantile=dist.quantile):
+            points.append(np.size(p))
+            return quantile(p)
+
+        monkeypatch.setattr(dist, "quantile", counted)
+        for s in (1, 500_000, 1_000_000):
+            conditional_pdf(dist, 1_000_000, s, 0.5)
+        assert points == [1, 1, 1, 1]
+
     def test_conditional_quantile_rejects_nan(self):
         for p in (float("nan"), np.array([0.5, np.nan])):
             with pytest.raises(DomainError) as info:
@@ -497,6 +524,19 @@ class TestCustomAndFactory:
         # are errors here, so the constructor must also not warn.
         with pytest.raises(DomainError, match=r"beyond the float64 range: Q\(2\^-53\)"):
             build(*args)
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-320, 1e-300, np.array([0.5, 1e-310])])
+    def test_normal_quantile_overflowing_below_two_to_the_minus_53_raises(self, p):
+        # Q(p) = -3.8e308 at p = 5e-324 is beyond the float64 range; it is
+        # named with its law, with no RuntimeWarning (an error here).
+        with pytest.raises(DomainError, match=r"^Q\(\de-\d+\) of Normal\(mu=0.0, sigma=1e\+307\) "
+                                              r"is beyond the float64 range$"):
+            Normal(0, 1e307).quantile(p)
+
+    def test_normal_quantile_below_two_to_the_minus_53_stays_finite_where_it_fits(self):
+        assert Normal(0, 1e307).quantile(1e-30) == pytest.approx(-1.146e308, rel=1e-3)
+        assert Normal(-1e308, 1e306).quantile(5e-324) == pytest.approx(-1.3847e308, rel=1e-4)
+        assert Normal(0, 1).quantile(5e-324) == pytest.approx(-38.4674, rel=1e-5)
 
     @pytest.mark.parametrize("dist", [Gamma(2, 1e-300), Gamma(0.3, 1e-280), Normal(0, 1e307),
                                       Normal(-1e308, 1e306)], ids=repr)

@@ -21,6 +21,7 @@ from qstrat.distributions import distribution_from_name
 from qstrat.errors import DomainError
 from qstrat.experiments import (
     _BLOCK_ROWS,
+    _mean_se_z,
     ExperimentConfig,
     ExperimentResult,
     Table,
@@ -158,6 +159,27 @@ class TestSpacingCheck:
                 cfg(experiment="spacing_check", m=10, ell=(10,), replicates=100)
             )
 
+    def test_equal_spacings_have_zero_z(self, monkeypatch):
+        # Every replicate the same points 1/8 apart (exact in binary): each
+        # spacing's mean has zero SE, which reads as z = 0, as in the other
+        # experiments' rows.
+        monkeypatch.setattr("qstrat.experiments._uniform_batches",
+                            lambda method, c, reps: np.tile(np.arange(1, c.m + 1) / 8, (reps, 1)))
+        result = run_spacing_check(cfg(experiment="spacing_check", m=5, ell=(1, 2),
+                                       replicates=10))
+        for row in result.rows:
+            assert (row["mean_std_error"], row["mean_z"]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("values,theory", [(np.array([0.1, 0.4, 0.2, 0.9]), 0.5),
+                                           (np.arange(7.0), 2.0), (np.full(5, 0.25), 0.5)])
+def test_mean_se_z(values, theory):
+    mean, se, z = _mean_se_z(values, theory)
+    assert mean == values.mean()
+    assert se == values.std(ddof=1) / math.sqrt(values.size)
+    assert z == ((mean - theory) / se if se > 0 else 0.0)
+    assert all(type(v) is float for v in (mean, se, z))
+
 
 def traced_peak(call) -> int:
     """The tracemalloc peak of ``call()`` in bytes, above what was traced
@@ -272,6 +294,16 @@ class TestConfigAndArtifacts:
     def test_mapping_rejects_unknown_keys(self):
         with pytest.raises(DomainError):
             config_from_mapping({"experiment": "mse_grid", "bogus": 1})
+
+    def test_mapping_must_name_its_experiment(self):
+        with pytest.raises(DomainError, match='a config must name its "experiment"'):
+            config_from_mapping({"m": 3})
+
+    @pytest.mark.parametrize("path", [5, 2.5, True, b"x.csv", ["x.csv"]])
+    def test_output_path_must_be_a_string(self, path):
+        with pytest.raises(DomainError, match="output_path must be a string"):
+            ExperimentConfig("mse_grid", output_path=path)
+        assert ExperimentConfig("mse_grid", output_path="x.csv").output_path == "x.csv"
 
     def test_artifacts_are_byte_identical_across_runs(self):
         c = cfg(experiment="importance_study", example="b", m=30, replicates=40,
