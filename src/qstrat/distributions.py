@@ -13,6 +13,7 @@ block, which are the building blocks of stratified sampling.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 from scipy import special
@@ -47,6 +48,14 @@ _SERIES_ROOT = 1e-12
 # Below unit shape, gamma upper tails q = 1 - p >= this invert P(a, x) = p, which
 # scipy does 2-5x faster than Q(a, x) = q; one ulp of p is 2^-33 relative to q.
 _GAMMA_SEAM_Q = 2.0 ** -20
+# Largest Beta shape: scipy's betaincinv returns NaN for some shapes from 1e15
+# on, and takes up to 1 ms a point at 1e14.
+_MAX_BETA_SHAPE = 1e14
+# Beta and Gamma quantiles are evaluated in blocks of this many points, and a
+# call of two blocks or more is split over the CPUs the process may use, at
+# least one block per CPU: in process, threaded over serial was 1.01 for
+# Beta(3, 2) at 4096 points and 0.56-0.79 at 8192.
+_QUANTILE_BLOCK = 4096
 
 
 def _elementwise(fn, x):
@@ -59,6 +68,51 @@ def _elementwise(fn, x):
 def _nan_at_nan(fn):
     """``fn`` on a float64 array, with NaN wherever the array is NaN."""
     return lambda x: np.where(np.isnan(x), np.nan, fn(x))
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity off Linux
+        return os.cpu_count() or 1
+
+
+def _in_pieces(kernel, p):
+    """``kernel(p)`` for an elementwise kernel and a 1-D float64 ``p``, bit
+    for bit, walking p in blocks of ``_QUANTILE_BLOCK`` points.
+
+    With n = min(CPUs, whole blocks) > 1, the blocks are dealt out in n runs
+    of consecutive blocks: the calling thread walks the first and a thread pool
+    that lives for this call walks the others, each under the caller's numpy
+    error state.  Errors are re-raised in run order, so the first is the one
+    a serial walk over the same blocks meets.
+    """
+    if p.size <= _QUANTILE_BLOCK:
+        return kernel(p)
+    out = np.empty_like(p)
+    starts = range(0, p.size, _QUANTILE_BLOCK)
+
+    def walk(run, state):
+        with np.errstate(**state):
+            for start in run:
+                stop = start + _QUANTILE_BLOCK
+                out[start:stop] = kernel(p[start:stop])
+
+    n = min(_cpus(), p.size // _QUANTILE_BLOCK)
+    if n <= 1:
+        walk(starts, {})
+        return out
+    from concurrent.futures import ThreadPoolExecutor  # loaded on the first split
+
+    runs = [starts[i * len(starts) // n:(i + 1) * len(starts) // n] for i in range(n)]
+    state = np.geterr()
+    with ThreadPoolExecutor(n - 1) as pool:
+        futures = [pool.submit(walk, run, state) for run in runs[1:]]
+        walk(runs[0], state)
+    for future in futures:
+        future.result()
+    return out
 
 
 def _tail_quantile(p, a, log_c, cut, inverse, rate=1.0):
@@ -97,6 +151,13 @@ def _check_finite_quantiles(dist) -> None:
                           f"Q(2^-53) = {ends[0]}, Q(1 - 2^-53) = {ends[1]}")
 
 
+def _check_finite_normaliser(dist) -> None:
+    """Raise DomainError unless the log density normaliser of ``dist`` is
+    finite: scipy's ``gammaln`` and ``betaln`` are inf at subnormal shapes."""
+    if not np.isfinite(dist._log_norm):
+        raise DomainError(f"{dist!r} has a density normaliser beyond the float64 range")
+
+
 class Distribution:
     """Base class: a univariate law with pdf, cdf and quantile function.
 
@@ -110,6 +171,9 @@ class Distribution:
 
     name: str = "distribution"
     support: tuple[float, float] = (-np.inf, np.inf)
+    # Whether ``quantile`` splits large calls over CPUs (_in_pieces); only for
+    # elementwise, thread-safe hooks that are costly per point.
+    _split_quantile = False
 
     def pdf(self, x):
         return _elementwise(_nan_at_nan(self._pdf), x)
@@ -141,7 +205,9 @@ class Distribution:
             out[at_zero] = lo
             out[at_one] = hi
             if np.any(interior):
-                out[interior] = self._quantile_inner(p_arr[interior])
+                inner = self._quantile_inner
+                out[interior] = (_in_pieces(inner, p_arr[interior]) if self._split_quantile
+                                 else inner(p_arr[interior]))
             return out
 
         return _elementwise(inverse, p)
@@ -198,8 +264,10 @@ class Normal(Distribution):
         _check_finite_quantiles(self)
 
     def _logpdf(self, x):
-        z = (x - self.mu) / self.sigma
-        return -0.5 * z * z - math.log(self.sigma) - _LOG_SQRT_2PI
+        # Far out, z * z overflows to inf and the log-density to its limit -inf.
+        with np.errstate(over="ignore"):
+            z = (x - self.mu) / self.sigma
+            return -0.5 * z * z - math.log(self.sigma) - _LOG_SQRT_2PI
 
     def _cdf(self, x):
         return special.ndtr((x - self.mu) / self.sigma)
@@ -219,7 +287,8 @@ class Normal(Distribution):
 
 
 class Beta(Distribution):
-    """Beta law on (0, 1) with shape parameters ``a`` and ``b``.
+    """Beta law on (0, 1) with shape parameters ``a`` and ``b``, each in
+    (0, 1e14] and not subnormal.
 
     The CDF is the regularized incomplete beta function; the quantile
     inverts it with scipy's ``betaincinv`` in each tail, accurate relative
@@ -230,13 +299,16 @@ class Beta(Distribution):
 
     name = "beta"
     support = (0.0, 1.0)
+    _split_quantile = True
 
     def __init__(self, a: float, b: float):
-        if not (a > 0.0 and b > 0.0 and np.isfinite(a) and np.isfinite(b)):
-            raise DomainError(f"beta requires finite a > 0 and b > 0, got {a}, {b}")
+        if not (0.0 < a <= _MAX_BETA_SHAPE and 0.0 < b <= _MAX_BETA_SHAPE):
+            raise DomainError(f"beta requires finite a and b in (0, {_MAX_BETA_SHAPE:g}], "
+                              f"got {a}, {b}")
         self.a = float(a)
         self.b = float(b)
         self._log_norm = special.betaln(self.a, self.b)
+        _check_finite_normaliser(self)
         self._median = self._lower(self.a, self.b, 0.5)[0]
 
     def _logpdf(self, x):
@@ -293,6 +365,7 @@ class Gamma(Distribution):
 
     name = "gamma"
     support = (0.0, np.inf)
+    _split_quantile = True
 
     def __init__(self, shape: float, rate: float):
         if not (shape > 0.0 and rate > 0.0 and np.isfinite(shape) and np.isfinite(rate)):
@@ -300,7 +373,9 @@ class Gamma(Distribution):
                 f"gamma requires finite shape > 0 and rate > 0, got {shape}, {rate}")
         self.shape = float(shape)
         self.rate = float(rate)
-        self._log_norm = self.shape * math.log(self.rate) - special.gammaln(self.shape)
+        with np.errstate(invalid="ignore"):
+            self._log_norm = self.shape * math.log(self.rate) - special.gammaln(self.shape)
+        _check_finite_normaliser(self)
         with np.errstate(over="ignore"):
             self._median = self._lower(0.5)[0]
             self._seam = self._upper(_GAMMA_SEAM_Q)

@@ -1,16 +1,24 @@
 """Distribution layer: pdf/cdf/quantile contracts, quantile blocks and
 conditional block laws."""
 
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from qstrat import distributions
 from qstrat.distributions import (
     Beta,
     Custom,
@@ -260,6 +268,208 @@ class TestQuantileProperties:
         assert tail_round_trip_ok(dist, p)
 
 
+# Every parameter the constructors are given: finite, and positive from the
+# smallest subnormal up to the float64 maximum where the law needs it.
+POSITIVE = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+LAW_PARAMS = st.one_of(
+    st.tuples(st.just(Beta), POSITIVE, POSITIVE),
+    st.tuples(st.just(Gamma), POSITIVE, POSITIVE),
+    st.tuples(st.just(Normal), FINITE, POSITIVE),
+)
+BLOCK = distributions._QUANTILE_BLOCK
+
+
+def accepted(params):
+    """The law built from (family, *args), with no RuntimeWarning; an example
+    whose parameters the constructor rejects is skipped."""
+    family, *args = params
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return family(*args)
+    except DomainError:
+        assume(False)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestLawSweep:
+    """Each law a constructor accepts, swept over p in [2^-53, 1 - 2^-53]."""
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(LAW_PARAMS, st.lists(PROBS, min_size=1, max_size=8))
+    def test_quantile_is_finite_inside_the_support_without_warning(self, params, probs):
+        dist = accepted(params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            q = dist.quantile(np.array(probs))
+        lo, hi = dist.support
+        assert np.all(np.isfinite(q)) and np.all((q > lo) & (q < hi)), (dist, probs, q)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(LAW_PARAMS, st.lists(PROBS, min_size=1, max_size=8), st.integers(0, 2 ** 32 - 1))
+    @example((Gamma, 0.05, 1.0), [2.0 ** -53, 1.0 - 2.0 ** -53], 0)
+    @example((Beta, 0.05, 2.0), [2.0 ** -53, 0.7, 1.0 - 2.0 ** -53], 1)
+    def test_split_quantile_has_the_bits_of_small_calls(self, params, probs, seed):
+        # A 2-D, non-contiguous array of three blocks, split over two threads,
+        # against the same points in calls below one block.
+        dist = accepted(params)
+        rng = np.random.default_rng(seed)
+        grid = np.empty((67, 250))
+        p = grid[:, ::2]
+        n = p.size
+        tails = 2.0 ** -rng.uniform(1.0, 53.0, n)
+        flat = np.where(rng.random(n) < 0.5, tails, 1.0 - tails)
+        flat[::3] = np.clip(rng.random(n)[::3], 2.0 ** -53, 1.0 - 2.0 ** -53)
+        flat[rng.integers(0, n, len(probs))] = probs
+        p[...] = flat.reshape(p.shape)
+        with mock.patch.object(distributions, "_cpus", lambda: 2):
+            q = dist.quantile(p)
+        small = np.concatenate([dist.quantile(part) for part in np.array_split(flat, 9)])
+        assert q.shape == p.shape
+        np.testing.assert_array_equal(bits(q).ravel(), bits(small))
+
+
+class TestQuantileThreads:
+    """Beta and Gamma quantiles of two blocks or more run on a thread pool."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The thread counts of the pools started, by any split quantile."""
+        made = []
+
+        class Counted(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                made.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+        return made
+
+    def test_split_follows_the_cpus_and_keeps_every_bit(self, monkeypatch, pools):
+        p = np.random.default_rng(5).random(5 * BLOCK + 17)
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(distributions, "_cpus", lambda cpus=cpus: cpus)
+            for dist in (Beta(3, 2), Gamma(2, 6), Gamma(0.05, 1), Beta(0.05, 2)):
+                serial = np.concatenate([dist._quantile_inner(p[i:i + 1000])
+                                         for i in range(0, p.size, 1000)])
+                np.testing.assert_array_equal(bits(dist.quantile(p)), bits(serial))
+        # Five whole blocks and a part: 2 and 3 runs, and 5 at 8 CPUs; the
+        # caller walks one run.
+        assert pools == [1] * 4 + [2] * 4 + [4] * 4
+
+    def test_more_workers_than_cores_with_a_short_switch_interval(self, monkeypatch):
+        # Eight runs write disjoint slices of one output while threads switch
+        # every microsecond; a lost or misplaced block changes the bits.
+        monkeypatch.setattr(distributions, "_cpus", lambda: 8)
+        dist = Gamma(0.05, 1)
+        p = np.random.default_rng(9).random(8 * BLOCK + 5)
+        serial = np.concatenate([dist._quantile_inner(p[i:i + BLOCK])
+                                 for i in range(0, p.size, BLOCK)])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                np.testing.assert_array_equal(bits(dist.quantile(p)), bits(serial))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_small_calls_and_other_families_run_inline(self, monkeypatch, pools):
+        monkeypatch.setattr(distributions, "_cpus", lambda: 4)
+        p = np.linspace(0.001, 0.999, 2 * BLOCK - 1)
+        Beta(3, 2).quantile(p)
+        Gamma(2, 6).quantile(p)
+        p = np.linspace(0.001, 0.999, 8 * BLOCK)
+        for dist in (Normal(0, 1), Uniform01(), DISCRETE,
+                     Custom(quantile=np.sqrt, support=(0.0, 1.0))):
+            dist.quantile(p)
+        assert pools == []
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        class Refused:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Refused)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        p = np.linspace(0.001, 0.999, 8 * BLOCK)
+        Beta(3, 2).quantile(p)
+        Gamma(2, 6).quantile(p)
+        # Two CPUs reach the refused pool, so the patch is where pools start.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with pytest.raises(AssertionError, match="thread pool was started"):
+            Beta(3, 2).quantile(p)
+
+    def test_caller_errstate_holds_in_the_workers(self, monkeypatch):
+        # The series root of Gamma(0.05, 1) at p = 1e-20 underflows in exp,
+        # which numpy ignores by default; the point lies in the second run.
+        monkeypatch.setattr(distributions, "_cpus", lambda: 2)
+        p = np.full(2 * BLOCK, 0.5)
+        p[-1] = 1e-20
+        dist = Gamma(0.05, 1)
+        assert dist.quantile(p)[-1] > 0.0
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+            dist.quantile(p)
+        with np.errstate(under="warn"), pytest.warns(RuntimeWarning, match="underflow"):
+            dist.quantile(p)
+
+    @pytest.mark.parametrize("at", [[-1], [BLOCK + 3, -1], [0, -1]])
+    def test_piece_error_is_the_serial_error(self, monkeypatch, at):
+        p = np.full(3 * BLOCK, 0.5)
+        p[at] = 1e-20
+
+        def error(run):
+            with np.errstate(under="raise"), pytest.raises(FloatingPointError) as info:
+                run(p)
+            return type(info.value), str(info.value)
+
+        dist = Gamma(0.05, 1)
+        unsplit = error(dist._quantile_inner)
+        for cpus in (3, 2, 1):
+            monkeypatch.setattr(distributions, "_cpus", lambda cpus=cpus: cpus)
+            assert error(dist.quantile) == unsplit
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_errors_are_raised_in_run_order(self, monkeypatch, cpus):
+        # Every block from the second on fails with its own message; the one
+        # raised is the first block's in order, as a serial walk meets it.
+        def kernel(x):
+            if x[0] >= BLOCK:
+                raise ValueError(f"block from {x[0]:.0f}")
+            return x
+
+        monkeypatch.setattr(distributions, "_cpus", lambda: cpus)
+        with pytest.raises(ValueError, match=f"^block from {BLOCK}$"):
+            distributions._in_pieces(kernel, np.arange(4 * BLOCK, dtype=np.float64))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork is tested on Linux")
+    def test_forked_child_runs_a_split_quantile(self):
+        # No pool thread outlives its call, so a child forked after a split
+        # quantile starts its own pool; Python 3.12+ warns on a fork with
+        # threads alive, which -W error turns into a failure.
+        script = textwrap.dedent("""
+            import os, threading
+            import numpy as np
+            from qstrat import distributions
+            distributions._cpus = lambda: 2
+            p = np.linspace(0.001, 0.999, 4 * distributions._QUANTILE_BLOCK)
+            q = distributions.Beta(3, 2).quantile(p)
+            assert threading.active_count() == 1
+            pid = os.fork()
+            if pid == 0:
+                same = np.array_equal(distributions.Beta(3, 2).quantile(p), q)
+                os._exit(0 if same else 3)
+            _, status = os.waitpid(pid, 0)
+            raise SystemExit(os.waitstatus_to_exitcode(status))
+        """)
+        done = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+
 class TestCdfPdf:
     def test_cdf_values(self):
         assert Normal(0, 1).cdf(0.0) == pytest.approx(0.5, abs=1e-15)
@@ -292,6 +502,13 @@ class TestCdfPdf:
     def test_logpdf_matches_pdf(self, dist):
         x = np.linspace(0.01, 0.99, 50)
         np.testing.assert_allclose(np.exp(dist.logpdf(x)), dist.pdf(x), rtol=1e-12)
+
+    @pytest.mark.parametrize("x", [1e200, -1e200, 1e300, -1e300])
+    def test_normal_density_far_out_is_zero_without_overflow(self, x):
+        # (x / sigma)^2 passes the float64 maximum; RuntimeWarnings are errors here.
+        assert Normal(0, 1).logpdf(x) == -math.inf
+        assert Normal(0, 1).pdf(x) == 0.0
+        assert Normal(1, 1e-100).logpdf(np.array([x, 1.0]))[0] == -math.inf
 
 
 class TestDiscrete:
@@ -524,6 +741,28 @@ class TestCustomAndFactory:
         # are errors here, so the constructor must also not warn.
         with pytest.raises(DomainError, match=r"beyond the float64 range: Q\(2\^-53\)"):
             build(*args)
+
+    @pytest.mark.parametrize("args", [(1e15, 1), (2, 2e14), (math.nan, 1)])
+    def test_beta_shapes_above_1e14_are_rejected(self, args):
+        # scipy's betaincinv returns NaN for some shapes from 1e15 on.
+        with pytest.raises(DomainError, match=r"^beta requires finite a and b in \(0, 1e\+14\]"):
+            Beta(*args)
+
+    @pytest.mark.parametrize("build,args", [(Beta, (1e-310, 2)), (Beta, (2, 5e-324)),
+                                            (Gamma, (1e-310, 1)), (Gamma, (1e306, 1)),
+                                            (Gamma, (9.2e307, 2.2e16))])
+    def test_laws_whose_density_normaliser_overflows_are_rejected(self, build, args):
+        # Subnormal shapes make scipy's betaln/gammaln inf, and huge gamma
+        # shapes overflow; the constructor must not warn either.
+        with pytest.raises(DomainError, match="density normaliser beyond the float64 range"):
+            build(*args)
+
+    @pytest.mark.parametrize("dist", [Beta(1e14, 1e14), Beta(2.3e-308, 1e14), Gamma(2.3e-308, 1),
+                                      Gamma(2e305, 1)], ids=repr)
+    def test_laws_at_the_edge_of_the_accepted_shapes_keep_finite_quantiles(self, dist):
+        q = dist.quantile(np.array([2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]))
+        assert np.all(np.isfinite(q)) and np.all(np.diff(q) >= 0)
+        assert np.isfinite(dist.logpdf(q[1]))
 
     @pytest.mark.parametrize("p", [5e-324, 1e-320, 1e-300, np.array([0.5, 1e-310])])
     def test_normal_quantile_overflowing_below_two_to_the_minus_53_raises(self, p):
