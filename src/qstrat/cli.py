@@ -18,6 +18,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections.abc import Iterable
 
 from . import theory
 from .distributions import distribution_from_name
@@ -26,11 +27,11 @@ from .experiments import (
     DEFAULT_SEED,
     EXPERIMENTS,
     ExperimentConfig,
+    ExperimentResult,
     Table,
     config_from_mapping,
-    render_artifact,
+    render_chunks,
     report_to_json,
-    rows_to_csv,
     run_experiment,
 )
 from .sampling import METHODS, sample, sample_size
@@ -74,12 +75,13 @@ def _check_output_path(path: str | None) -> None:
         raise DomainError(f"the directory of output path {path!r} does not exist")
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(chunks: Iterable[str], path: str | None) -> None:
+    """Write the chunks one by one to ``path``, or to stdout when it is None."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +110,7 @@ def _cmd_sample(args) -> int:
         }
         if batch.layer_index is not None:
             payload["layer_index"] = batch.layer_index.tolist()
-        _write_output(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output_path)
+        _write_output([json.dumps(payload, indent=2, sort_keys=True) + "\n"], args.output_path)
     else:
         columns = {
             "index": list(range(1, batch.m + 1)),
@@ -118,7 +120,8 @@ def _cmd_sample(args) -> int:
         }
         if batch.layer_index is not None:
             columns["layer"] = batch.layer_index
-        _write_output(rows_to_csv(Table(columns)), args.output_path)
+        _write_output(render_chunks(ExperimentResult({}, Table(columns)), "csv"),
+                      args.output_path)
     return 0
 
 
@@ -156,7 +159,7 @@ def _cmd_theory(args) -> int:
             method: dataclasses.asdict(theory.spacing_law(m, args.ell, method))
             for method in ("iid", "qs")
         }
-    _write_output(json.dumps(out, indent=2, sort_keys=True) + "\n", args.output_path)
+    _write_output([json.dumps(out, indent=2, sort_keys=True) + "\n"], args.output_path)
     return 0
 
 
@@ -186,7 +189,7 @@ def _cmd_experiment(args) -> int:
     cfg = config_from_mapping(mapping)
     _check_output_path(cfg.output_path)  # a config file may set it
     result = run_experiment(cfg)
-    _write_output(render_artifact(result, cfg.format), cfg.output_path)
+    _write_output(render_chunks(result, cfg.format), cfg.output_path)
     if cfg.output_path is not None:
         # Artifact went to a file; surface the report on stdout.
         sys.stdout.write(report_to_json(result, include_rows=False))

@@ -17,7 +17,15 @@ from hypothesis import strategies as st
 
 from qstrat.cli import main
 from qstrat.distributions import Gamma
-from qstrat.experiments import EXPERIMENTS
+from qstrat.experiments import (
+    _BLOCK_ROWS,
+    EXPERIMENTS,
+    ExperimentConfig,
+    ExperimentResult,
+    Table,
+    render_artifact,
+    run_experiment,
+)
 
 
 def run_cli(capsys, *argv):
@@ -250,6 +258,41 @@ class TestExperimentCommand:
         code, out, err = run_cli(capsys, "experiment", "--config", str(config))
         assert code == 1 and out == ""
         assert "does not exist" in err
+
+
+class TestChunkedOutput:
+    """The artifact is written chunk by chunk, to --out or to stdout."""
+
+    QQ = ("experiment", "--name", "qq_export", "--dist", "gamma", "--params", "2,5",
+          "--m", "50", "--layers", "30,20", "--replicates", "25", "--seed", "13")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_stdout_and_render_artifact_agree(self, capsys, tmp_path, fmt):
+        result = run_experiment(ExperimentConfig("qq_export", dist="gamma", params=(2.0, 5.0),
+                                                 m=50, layers=(30, 20), replicates=25, seed=13))
+        # Three whole row blocks and a partial one.
+        assert len(result.rows) // _BLOCK_ROWS == 3 and len(result.rows) % _BLOCK_ROWS
+        expected = render_artifact(result, fmt)
+        path = tmp_path / f"qq.{fmt}"
+        code, _, _ = run_cli(capsys, *self.QQ, "--format", fmt, "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == expected.encode("utf-8")
+        code, out, _ = run_cli(capsys, *self.QQ, "--format", fmt)
+        assert code == 0 and out == expected
+
+    def test_table_that_cannot_be_rendered_creates_no_file(self, capsys, tmp_path,
+                                                          monkeypatch):
+        # The NUL sits in the second row block, so only planning every
+        # column before the first write keeps the file from being opened.
+        table = Table({"n": range(_BLOCK_ROWS + 1), "label": ["ok"] * _BLOCK_ROWS + ["a\0b"]})
+        monkeypatch.setitem(EXPERIMENTS, "mse_grid",
+                            lambda cfg: ExperimentResult({"experiment": "mse_grid"}, table))
+        path = tmp_path / "grid.csv"
+        for out in (("--out", str(path)), ()):
+            code, stdout, err = run_cli(capsys, "experiment", "--name", "mse_grid", *out)
+            assert code == 1 and stdout == ""
+            assert "NUL character in column 'label'" in err
+        assert not path.exists()
 
 
 class TestSeedEnvironment:

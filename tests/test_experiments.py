@@ -21,12 +21,15 @@ from qstrat.distributions import distribution_from_name
 from qstrat.errors import DomainError
 from qstrat.experiments import (
     _BLOCK_ROWS,
+    _PROBE_ROWS,
+    _float_cells,
     _mean_se_z,
     ExperimentConfig,
     ExperimentResult,
     Table,
     config_from_mapping,
     render_artifact,
+    render_chunks,
     report_to_json,
     rows_to_csv,
     run_experiment,
@@ -494,6 +497,21 @@ class TestRenderersMatchReference:
         with pytest.raises(DomainError, match=f"NUL character in {where}"):
             rows_to_csv(Table(columns))
 
+    def test_render_chunks_raises_before_it_yields(self):
+        # The NUL is in the last row block: every column is planned when
+        # render_chunks is called, not when its chunks are read.
+        columns = {"n": range(2 * _BLOCK_ROWS + 1), "label": ["ok"] * (2 * _BLOCK_ROWS) + ["\0"]}
+        with pytest.raises(DomainError, match="NUL character in column 'label'"):
+            render_chunks(_odd_result(columns), "csv")
+
+    @pytest.mark.parametrize("fmt,around", [("csv", 1), ("json", 2)])
+    def test_render_chunks_are_the_header_row_blocks_and_tail(self, fmt, around):
+        n = 2 * _BLOCK_ROWS + 3
+        result = _odd_result(_block_table(n))
+        chunks = list(render_chunks(result, fmt))
+        assert len(chunks) == around + 3
+        assert "".join(chunks) == render_artifact(result, fmt)
+
 
 def _block_table(n: int) -> dict[str, list]:
     """Columns of n rows with every kind of cell the renderers plan apart."""
@@ -554,6 +572,51 @@ class TestRenderersAcrossBlocks:
         _assert_same(report_to_json(result), _reference_json(result.report, rows))
         _assert_same(report_to_json(result, include_rows=False),
                      _reference_json(result.report, rows, include_rows=False))
+
+
+class TestFloatDedupe:
+    """A float column whose cells repeat at least half the time is formatted
+    once per distinct value; a long column whose probe of _PROBE_ROWS random
+    cells finds no repeat is formatted directly.  Either way the text is the
+    reference's."""
+
+    N = 4 * _PROBE_ROWS + 5
+
+    def columns(self) -> dict[str, tuple[np.ndarray, bool]]:
+        """Columns of N floats, each with whether it takes the dedupe path."""
+        n = self.N
+        rng = np.random.default_rng(29)
+        tiled = {f"period_{p}": (np.resize(rng.standard_normal(p), n), True)
+                 for p in (4, 292, 1000, 1024)}
+        sparse = rng.standard_normal(n)
+        sparse[::10] = 0.0
+        return {
+            **tiled,
+            "distinct": (rng.standard_normal(n), False),
+            "mostly_distinct": (sparse, False),
+            "signed_zeros": (np.resize([0.0, -0.0], n), True),
+            "non_finite": (np.resize([math.inf, -math.inf, math.nan, 1.5, -0.0], n), True),
+        }
+
+    def test_path_and_bytes_of_each_column(self):
+        for name, (values, dedupe) in self.columns().items():
+            for conversion in ("%.9g", "%r"):
+                chosen = _float_cells(values, conversion)[0]
+                assert chosen == ("%s" if dedupe else conversion), (name, conversion)
+            result = _odd_result({name: values})
+            rows = list(result.rows)
+            _assert_same(rows_to_csv(result.rows), _reference_csv(rows), name)
+            _assert_same(report_to_json(result), _reference_json(result.report, rows), name)
+
+    def test_qq_targets_are_formatted_once(self):
+        # theoretical_quantile repeats with period m = 1000 per method; the
+        # sorted sample is all distinct.
+        result = run_experiment(cfg(experiment="qq_export", dist="normal", params=(0.0, 1.0),
+                                    m=1000, replicates=3, seed=28))
+        columns = result.rows.columns
+        for conversion in ("%.9g", "%r"):
+            assert _float_cells(columns["theoretical_quantile"], conversion)[0] == "%s"
+            assert _float_cells(columns["sample_order_stat"], conversion)[0] == conversion
 
 
 def _typed(columns: dict) -> dict:
@@ -676,12 +739,34 @@ class TestTable:
         assert list(t[::-1]) == list(t)[::-1]
 
     def test_bad_columns_rejected(self):
-        with pytest.raises(DomainError, match="1-D"):
-            Table({"a": np.zeros((2, 2))})
+        for array in (np.zeros((2, 2)), np.array(1.0)):
+            with pytest.raises(DomainError, match="1-D"):
+                Table({"a": array})
         with pytest.raises(DomainError, match="equal lengths"):
             Table({"a": [1, 2], "b": [1]})
         with pytest.raises(DomainError, match="strings"):
             Table({1: [1]})
+
+    @pytest.mark.parametrize("column", [
+        "abc", b"ab", {1.0, 2.0}, {"a": 1, "b": 2}, 3, 2.5, None, np.float64(1.0),
+        (v for v in [1, 2]), iter([1, 2]), map(float, [1, 2]),
+    ], ids=["str", "bytes", "set", "dict", "int", "float", "None", "numpy_scalar",
+            "generator", "iterator", "map"])
+    def test_column_that_is_no_sequence_rejected(self, column):
+        with pytest.raises(DomainError, match="list, tuple, range or 1-D numpy array"):
+            Table({"a": column})
+
+    def test_tuple_and_range_columns_act_as_lists(self):
+        n = 2 * _BLOCK_ROWS + 3
+        floats = [0.5 * (i % 7) - 1.0 for i in range(n)]
+        text = [("a", "b,c", "")[i % 3] for i in range(n)]
+        listed = Table({"i": list(range(n)), "x": floats, "s": text})
+        other = Table({"i": range(n), "x": tuple(floats), "s": tuple(text)})
+        assert list(other) == list(listed) and list(other[5:9]) == list(listed[5:9])
+        _assert_same(rows_to_csv(other), rows_to_csv(listed))
+        _assert_same(report_to_json(ExperimentResult({}, other)),
+                     report_to_json(ExperimentResult({}, listed)))
+        _assert_same(rows_to_csv(other), _reference_csv(list(listed)))
 
     def test_result_rows_are_always_a_table(self):
         assert isinstance(ExperimentResult({}).rows, Table)
