@@ -14,9 +14,11 @@ Seed precedence: --seed > a config file's seed > QSTRAT_SEED > the default 42.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
+import stat
 import sys
 from collections.abc import Iterable
 
@@ -76,12 +78,22 @@ def _check_output_path(path: str | None) -> None:
 
 
 def _write_output(chunks: Iterable[str], path: str | None) -> None:
-    """Write the chunks one by one to ``path``, or to stdout when it is None."""
+    """Write the chunks one by one to ``path``, or to stdout when it is None.
+    If writing to ``path`` fails, a regular file there is removed before the
+    error is raised again, so that no truncated artifact is left."""
     if path is None:
         sys.stdout.writelines(chunks)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
+        return
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:  # closing flushes, which can fail too
             fh.writelines(chunks)
+    except BaseException:
+        # A symlink such as /dev/stdout, or a device or pipe, is left alone.
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+        raise
 
 
 # ---------------------------------------------------------------------------

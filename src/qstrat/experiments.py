@@ -158,9 +158,17 @@ class Table(Sequence):
 
     @classmethod
     def from_rows(cls, rows) -> Table:
-        """Columns of a list of dicts, with the header from the first row."""
+        """Columns of a list of dicts, with the header from the first row.  A
+        row that is not a dict, or whose keys are not the first row's,
+        raises DomainError naming its index."""
         rows = list(rows)
         header = rows[0] if rows else {}
+        for i, row in enumerate(rows):
+            if not isinstance(row, dict):
+                raise DomainError(f"row {i} must be a dict, got {type(row).__name__}")
+            if row.keys() != header.keys():
+                raise DomainError(f"row {i} has the keys {list(row)}, where row 0 has "
+                                  f"{list(header)}")
         return cls({name: [row[name] for row in rows] for name in header})
 
     def __len__(self) -> int:
@@ -422,9 +430,10 @@ def run_importance_study(cfg: ExperimentConfig) -> ExperimentResult:
     """
     prob = BENCHMARKS[cfg.example]()
     reps = cfg.resolved_replicates()
-    columns = {"method": [], "replicate": [], "estimate": []}
+    methods = _method_list(cfg)
+    estimates = []
     summary = {}
-    for method in _method_list(cfg):
+    for method in methods:
         study = estimate_replicates(
             prob,
             cfg.m,
@@ -433,9 +442,7 @@ def run_importance_study(cfg: ExperimentConfig) -> ExperimentResult:
             seed=spawn_seed(cfg.seed, _METHOD_STREAM[method]),
             layers=cfg.layers if method == "lqs" else None,
         )
-        columns["method"] += [method] * reps
-        columns["replicate"] += range(1, reps + 1)
-        columns["estimate"] += study.estimates.tolist()
+        estimates.append(study.estimates)
         summary[method] = {
             "mean": study.mean,
             "std_err": study.std_err,
@@ -452,7 +459,12 @@ def run_importance_study(cfg: ExperimentConfig) -> ExperimentResult:
         "seed": cfg.seed,
         "methods": summary,
     }
-    return ExperimentResult(report, Table(columns))
+    rows = Table({
+        "method": list(chain.from_iterable([method] * reps for method in methods)),
+        "replicate": np.tile(np.arange(1, reps + 1, dtype=np.int64), len(methods)),
+        "estimate": np.concatenate(estimates),
+    })
+    return ExperimentResult(report, rows)
 
 
 EXPERIMENTS = {
@@ -473,9 +485,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 # Artifact serialization
 # ---------------------------------------------------------------------------
 
-# Rows are formatted this many at a time, through one % template per block;
-# blocks of 4096 and 16384 rows measured no faster.
+# Rows are formatted a group at a time, through one % template per group; a
+# group is the smallest whole number of the table's periods that is at least
+# this many rows.  Blocks of 4096 and 16384 rows measured no faster than 1024.
 _BLOCK_ROWS = 1024
+# A longer period is not used, so that a group, which is one chunk of text,
+# stays within the block sizes measured.
+_MAX_PERIOD = 16 * _BLOCK_ROWS
 # Cells of a long float column sampled for repeats before its distinct values
 # are counted.  The positions are random, so that no period of a tiled
 # column can line up with them as it can with a fixed stride.
@@ -560,11 +576,11 @@ def _csv_quoted(name: str, strings: list[str], lone: bool) -> list[str]:
     return [quoted[value] for value in strings]
 
 
-def _csv_plan(name: str, values, lone: bool) -> tuple[str, Sequence]:
+def _csv_plan(name: str, kinds: set, values, lone: bool) -> tuple[str, Sequence]:
     """The % conversion of column ``name`` in the CSV row template and the
-    cells it reads: ``%d`` for ints, ``%.9g`` for floats, and quoted strings
+    cells it reads, from the column's ``kinds`` and cells as ``_column``
+    gives them: ``%d`` for ints, ``%.9g`` for floats, and quoted strings
     otherwise (``lone``: the table has this one column)."""
-    kinds, values = _column(values)
     if kinds == {int}:
         return "%d", values
     if kinds == {float}:
@@ -573,12 +589,11 @@ def _csv_plan(name: str, values, lone: bool) -> tuple[str, Sequence]:
     return "%s", _csv_quoted(name, strings, lone)
 
 
-def _json_plan(values) -> tuple[str, Sequence]:
+def _json_plan(name: str, kinds: set, values) -> tuple[str, Sequence]:
     """The % conversion of one column in the JSON row template and the cells
     it reads: ``%d`` for ints, ``%r`` for finite floats, each distinct
     string encoded once, and ``_json_cell`` text for anything else (bools,
     None, mixed, nested, NaN or inf)."""
-    kinds, values = _column(values)
     if kinds == {int}:
         return "%d", values
     if kinds == {float} and np.isfinite(values).all():
@@ -589,55 +604,140 @@ def _json_plan(values) -> tuple[str, Sequence]:
     return "%s", list(map(_json_cell, values))
 
 
-def _fill_rows(row: str, sep: str, cells: Sequence, n: int) -> Iterator[str]:
-    """The n rows, each ``row %`` the Python values of ``cells``, separated by
-    ``sep``, in blocks of up to _BLOCK_ROWS rows.  A block's cells go column
-    by column into one flat list, interleaved by slice assignment, and one
-    template formats the whole block."""
-    k = len(cells)
-    size = 0
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        if stop - start != size:  # the first block, and a short last one
-            size = stop - start
-            template = (sep + row) * size
-            flat = [None] * (k * size)
-        for j, values in enumerate(cells):
+def _period(columns: Iterable) -> int:
+    """The period p of the first int64 array column whose first value first
+    recurs at row p and whose cells repeat with that period throughout, or
+    1 when no column has a period of at most _MAX_PERIOD rows."""
+    for values in columns:
+        if isinstance(values, np.ndarray) and values.dtype == np.int64 and values.size > 1:
+            p = int(np.argmax(values[1:] == values[0])) + 1
+            if (p <= _MAX_PERIOD and values[p] == values[0]
+                    and np.array_equal(values[p:], values[:-p])):
+                return p
+    return 1
+
+
+def _repeats(kinds: set, values, size: int, whole: int) -> np.ndarray | None:
+    """For each of the first ``whole`` groups of ``size`` rows but group 0,
+    whether its cells equal those of the group before, in one vectorised
+    compare: float64 cells by their bits (so 0.0 and -0.0 differ), and int64
+    cells and a list of only str or only int cells by value (so True and 1
+    never meet).  None for any other column."""
+    if isinstance(values, np.ndarray):
+        cells = values.view(np.int64)
+    elif kinds == {str} or kinds == {int}:
+        cells = np.array(values, dtype=object)
+    else:
+        return None
+    stop = whole * size
+    return (cells[size:stop] == cells[:stop - size]).reshape(whole - 1, size).all(axis=1)
+
+
+def _group_chunks(table: Table, names: Sequence[str], literals: Sequence[str], sep: str,
+                  plan, plan_distinct: bool = False) -> Iterator[str]:
+    """The rows of ``table``, each the ``literals`` with the text of the
+    columns ``names`` between them, separated by ``sep``, one chunk per
+    group of rows.  ``plan(name, kinds, cells)`` gives a column's %
+    conversion and the cells it reads.
+
+    A group is the smallest whole number of the table's periods (_period)
+    that is at least _BLOCK_ROWS rows.  A column that repeats from one whole
+    group to the next in at least half of those transitions is baked: it is
+    planned one group at a time, and its text formatted into the group's
+    template, which is rebuilt only for the first group, a short last one
+    and a group where a baked cell changes.  The other columns are free:
+    planned whole here, and formatted by one % of the template per group.
+    A cell's text depends on the cell alone, so a group's plan gives the
+    text of the whole column's.  With ``plan_distinct`` the distinct cells
+    of each baked str column are planned here too, so that a cell that
+    cannot be rendered raises before any chunk is read."""
+    n = len(table)
+    period = _period(table.columns.values())
+    size = period * -(-_BLOCK_ROWS // period)
+    whole = n // size
+    # Group 0 and a short last group are always built; group g in between
+    # when a baked column changes from group g - 1.
+    rebuild = np.ones(-(-n // size), dtype=bool)
+    unchanged = np.ones(max(whole - 1, 0), dtype=bool)
+    # The template is formatted twice: a literal's "%" is escaped for both,
+    # a free conversion for the first.
+    row, baked, free = sep.replace("%", "%%%%"), [], []
+    for name, literal in zip(names, literals):
+        kinds, values = _column(table.columns[name])
+        same = _repeats(kinds, values, size, whole) if whole > 1 else None
+        row += literal.replace("%", "%%%%")
+        if same is not None and 2 * np.count_nonzero(same) >= same.size:
+            if plan_distinct and kinds == {str}:
+                plan(name, kinds, list(set(values)))
+            baked.append((name, kinds, values))
+            unchanged &= same
+            row += "%s"
+        else:
+            conversion, cells = plan(name, kinds, values)
+            free.append(cells)
+            row += conversion.replace("%", "%%")
+    row += literals[-1].replace("%", "%%%%")
+    rebuild[1:whole] = ~unchanged
+    return _fill_groups(row, len(sep), plan, baked, free, size, rebuild, n)
+
+
+def _fill_groups(row: str, skip: int, plan, baked: list, free: list, size: int,
+                 rebuild: np.ndarray, n: int) -> Iterator[str]:
+    """The chunks of ``_group_chunks``, from the two-stage ``row`` template
+    (preceded by a separator of ``skip`` characters, left off the first
+    row): at a ``rebuild`` the baked cells of the group are formatted into
+    it, with any "%" in their text doubled, and then each group's free cells
+    go column by column into one flat list, interleaved by slice
+    assignment, for one % of the group's template."""
+    kb, kf = len(baked), len(free)
+    for g, start in enumerate(range(0, n, size)):
+        stop = min(start + size, n)
+        if rebuild[g]:
+            rows = stop - start
+            text = [None] * (kb * rows)
+            for j, (name, kinds, values) in enumerate(baked):
+                conversion, cells = plan(name, kinds, values[start:stop])
+                if isinstance(cells, np.ndarray):
+                    cells = cells.tolist()
+                text[j::kb] = [(conversion % cell).replace("%", "%%") for cell in cells]
+            template = (row * rows) % tuple(text)
+            flat = [None] * (kf * rows)
+        for j, values in enumerate(free):
             block = values[start:stop]
-            flat[j::k] = block.tolist() if isinstance(block, np.ndarray) else block
-        yield (template[len(sep):] if start == 0 else template) % tuple(flat)
+            flat[j::kf] = block.tolist() if isinstance(block, np.ndarray) else block
+        chunk = template % tuple(flat)
+        yield chunk[skip:] if start == 0 else chunk
 
 
 def render_chunks(result: ExperimentResult, fmt: str) -> Iterator[str]:
     """The artifact of ``result`` in ``fmt`` as chunks of text that join to
-    the whole: for "csv" the header and the row blocks of its rows, for
-    "json" the report up to its rows, the row blocks and the report's end.
-    Every column is planned when this is called, so a table that cannot be
-    rendered (a NUL in a CSV column name or cell) raises DomainError here,
-    before any chunk is read."""
+    the whole: for "csv" the header and the row groups of its rows, for
+    "json" the report up to its rows, the row groups and the report's end.
+    Every cell that can fail is checked when this is called, so a table
+    that cannot be rendered (a NUL in a CSV column name or cell) raises
+    DomainError here, before any chunk is read."""
     table = result.rows
     if fmt == "csv":
         if not table:
             return iter(())
         names = [_csv_text(name, "a column name") for name in table.columns]
         lone = len(names) == 1
-        conversions, cells = zip(*(_csv_plan(name, table.columns[name], lone)
-                                   for name in names))
         header = io.StringIO()
         csv.writer(header, lineterminator="\n").writerow(names)
-        body = _fill_rows(",".join(conversions) + "\n", "", cells, len(table))
+        literals = [""] + [","] * (len(names) - 1) + ["\n"]
+        body = _group_chunks(table, names, literals, "",
+                             lambda name, kinds, cells: _csv_plan(name, kinds, cells, lone),
+                             plan_distinct=True)
         return chain([header.getvalue()], body)
     text = json.dumps(dict(result.report, rows=[]), indent=2, sort_keys=True) + "\n"
     if not table:
         return iter((text,))
     # The report is rendered with empty rows; the rows go inside its
-    # brackets, from one row template over the sorted column names (a "%"
-    # in a name is escaped).
+    # brackets, from one row template over the sorted column names.
     names = sorted(table.columns)
-    conversions, cells = zip(*(_json_plan(table.columns[name]) for name in names))
-    fields = ",".join(_FIELD_INDENT + json.dumps(name).replace("%", "%%") + ": " + conversion
-                      for name, conversion in zip(names, conversions))
-    body = _fill_rows("\n    {" + fields + "\n    }", ",", cells, len(table))
+    literals = [("\n    {" if j == 0 else ",") + _FIELD_INDENT + json.dumps(name) + ": "
+                for j, name in enumerate(names)] + ["\n    }"]
+    body = _group_chunks(table, names, literals, ",", _json_plan)
     cut = text.index(_EMPTY_ROWS) + len(_EMPTY_ROWS) - 1
     return chain([text[:cut]], body, ["\n  " + text[cut:]])
 

@@ -294,6 +294,30 @@ class TestChunkedOutput:
             assert "NUL character in column 'label'" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("command", [
+        ("experiment", "--name", "qq_export", "--m", "5", "--replicates", "2"),
+        ("sample", "--m", "5"),
+    ])
+    def test_failed_write_leaves_no_partial_file(self, capsys, tmp_path, monkeypatch,
+                                                 command):
+        def failing_chunks(result, fmt):
+            yield "a whole first chunk\n"
+            raise OSError("disk full")
+
+        monkeypatch.setattr("qstrat.cli.render_chunks", failing_chunks)
+        path = tmp_path / "artifact.csv"
+        path.write_text("an older artifact\n")
+        code, _, err = run_cli(capsys, *command, "--out", str(path))
+        assert code == 2 and "disk full" in err
+        assert not path.exists()
+        # A path that is no regular file, such as /dev/stdout, is left alone.
+        target = tmp_path / "target.csv"
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        code, _, _ = run_cli(capsys, *command, "--out", str(link))
+        assert code == 2 and link.is_symlink()
+        assert target.read_text() == "a whole first chunk\n"
+
 
 class TestSeedEnvironment:
     def test_env_seed_sets_default(self, capsys, monkeypatch):

@@ -16,14 +16,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qstrat import experiments
 from qstrat.cli import main
 from qstrat.distributions import distribution_from_name
 from qstrat.errors import DomainError
 from qstrat.experiments import (
     _BLOCK_ROWS,
+    _MAX_PERIOD,
     _PROBE_ROWS,
     _float_cells,
     _mean_se_z,
+    _period,
     ExperimentConfig,
     ExperimentResult,
     Table,
@@ -574,6 +577,182 @@ class TestRenderersAcrossBlocks:
                      _reference_json(result.report, rows, include_rows=False))
 
 
+def _group_size(period: int) -> int:
+    return period * -(-_BLOCK_ROWS // period)
+
+
+def _tiled(cells: Sequence, n: int) -> list:
+    return [cells[i % len(cells)] for i in range(n)]
+
+
+class TestGroupRenderer:
+    """Rows rendered in groups of whole periods, with the columns that repeat
+    from group to group baked into the group's template.  Each table's bytes
+    are the reference renderers'; a baked column is planned a group slice at
+    a time, so these also show that a slice's plan gives the whole column's
+    text."""
+
+    @pytest.fixture
+    def planned(self, monkeypatch):
+        """Column name -> the lengths of the cells planned for it, per format."""
+        lengths = {"csv": {}, "json": {}}
+
+        def spy(fmt, plan):
+            def traced(name, kinds, values, *args):
+                lengths[fmt].setdefault(name, []).append(len(values))
+                return plan(name, kinds, values, *args)
+            return traced
+
+        monkeypatch.setattr(experiments, "_csv_plan", spy("csv", experiments._csv_plan))
+        monkeypatch.setattr(experiments, "_json_plan", spy("json", experiments._json_plan))
+        return lengths
+
+    def assert_reference(self, columns):
+        result = ExperimentResult({"experiment": "grouped"}, Table(columns))
+        rows = list(result.rows)
+        _assert_same(rows_to_csv(result.rows), _reference_csv(rows), "csv")
+        _assert_same(report_to_json(result), _reference_json(result.report, rows), "json")
+
+    @pytest.mark.parametrize("period", [1, 7, 1000, 1024, 1500])
+    def test_int64_tiled_columns(self, planned, period):
+        size = _group_size(period)
+        n = 4 * size
+        rng = np.random.default_rng(period)
+        text = ["iid", "a,b", "%", "%s"]
+        columns = {
+            "sample": rng.standard_normal(n),
+            "k": np.resize(np.arange(1, period + 1, dtype=np.int64), n),
+            "target": np.resize(rng.standard_normal(period), n),
+            "label": _tiled(text, period) * (n // period),
+            "count": rng.integers(-10 ** 6, 10 ** 6, n),
+        }
+        assert _period(columns.values()) == period
+        self.assert_reference(columns)
+        for lengths in planned.values():
+            assert lengths["sample"] == [n] and lengths["count"] == [n]
+            # Baked: planned for the first group only, and for CSV the
+            # label's distinct cells, checked for NUL when rendering starts.
+            assert lengths["k"] == [size] and lengths["target"] == [size]
+        assert planned["json"]["label"] == [size]
+        assert planned["csv"]["label"] == [min(period, len(text)), size]
+
+    def test_period_must_hold_throughout(self):
+        k = np.resize(np.arange(1, 11, dtype=np.int64), 5000)
+        broken = k.copy()
+        broken[-1] = 0
+        assert _period([broken, k]) == 10
+        assert _period([broken]) == 1 == _period([k.astype(np.float64), list(k)])
+        assert _period([np.arange(5000, dtype=np.int64)]) == 1
+        long = np.resize(np.arange(_MAX_PERIOD + 1, dtype=np.int64), 2 * _MAX_PERIOD + 2)
+        assert _period([long]) == 1
+
+    @pytest.mark.parametrize("extra", [1, 999, 1999])
+    def test_length_not_whole_groups(self, planned, extra):
+        n = 3 * 2000 + extra
+        rng = np.random.default_rng(extra)
+        columns = {"k": np.resize(np.arange(1, 1001, dtype=np.int64), n),
+                   "target": np.resize(rng.standard_normal(1000), n),
+                   "sample": rng.standard_normal(n)}
+        self.assert_reference(columns)
+        # The short last group gets a template of its own.
+        assert planned["csv"]["target"] == [2000, extra]
+
+    def test_tiled_float_that_changes_at_one_boundary(self, planned):
+        # As qq_export's targets do from one method to the next.
+        rng = np.random.default_rng(3)
+        per_method = 3 * 2000
+        targets = [np.tile(rng.standard_normal(1000), per_method // 1000) for _ in range(2)]
+        n = 2 * per_method
+        columns = {"method": ["iid"] * per_method + ["qs"] * per_method,
+                   "k": np.resize(np.arange(1, 1001, dtype=np.int64), n),
+                   "theoretical_quantile": np.concatenate(targets),
+                   "sample_order_stat": rng.standard_normal(n)}
+        self.assert_reference(columns)
+        for lengths in planned.values():
+            assert lengths["theoretical_quantile"] == [2000, 2000]
+            assert lengths["k"] == [2000, 2000]
+            assert lengths["sample_order_stat"] == [n]
+
+    def test_baked_text_with_percent_comma_quote_and_newline(self, planned):
+        text = ["%", "%s", "%%d", "a,b", 'say "hi"', "line\nbreak", ""]
+        n = 5 * _group_size(7)
+        columns = {"k": np.resize(np.arange(7, dtype=np.int64), n),
+                   "te%xt": _tiled(text, n),
+                   "%d": np.resize([0.5, -1e-300, 2.0, 1e300, 0.0, -0.0, 3.0], n)}
+        self.assert_reference(columns)
+        assert planned["json"]["te%xt"] == [_group_size(7)]
+
+    def test_lone_baked_csv_column_with_empty_cells(self, planned):
+        n = 3 * _BLOCK_ROWS + 5
+        for cells in ([""] * n, [""] * (2 * _BLOCK_ROWS) + ['x"'] * _BLOCK_ROWS + [""] * 5):
+            table = Table({"s": cells})
+            text = rows_to_csv(table)
+            _assert_same(text, _reference_csv(list(table)))
+            assert text.endswith('""\n' * 5)
+        # Rebuilt where x" replaces the empty cells, and for the short group.
+        assert planned["csv"]["s"] == [1, _BLOCK_ROWS, 5, 2, _BLOCK_ROWS, _BLOCK_ROWS, 5]
+
+    def test_signed_zeros_alternating_by_group(self, planned):
+        size = _group_size(10)
+        n = 6 * size
+        zeros = np.repeat(np.resize([0.0, -0.0], 6), size)
+        columns = {"k": np.resize(np.arange(10, dtype=np.int64), n), "zero": zeros,
+                   "zero_list": zeros.tolist()}
+        self.assert_reference(columns)
+        # 0.0 == -0.0, but their bits differ: the column is never baked.
+        assert planned["csv"]["zero"] == [n] == planned["csv"]["zero_list"]
+        # Baked, but rebuilt at the sign change: a compare by value would not.
+        flipped = np.repeat([0.0] * 3 + [-0.0] * 3, size)
+        self.assert_reference({"k": columns["k"], "zero": flipped})
+        assert planned["json"]["zero"][-2:] == [size, size]
+
+    def test_nan_and_inf_in_a_baked_json_column(self, planned):
+        n = 4 * _group_size(5)
+        special = [math.nan, math.inf, -math.inf, 1.5, -0.0]
+        columns = {"k": np.resize(np.arange(5, dtype=np.int64), n),
+                   "special": np.resize(special, n), "listed": _tiled(special, n)}
+        self.assert_reference(columns)
+        assert planned["json"]["special"] == [_group_size(5)]
+        assert planned["json"]["listed"] == [_group_size(5)]
+
+    def test_list_mixing_true_and_1_is_never_baked(self, planned):
+        size = _group_size(4)
+        n = 4 * size
+        for cells in ([True] * size + [1] * size + [True] * size + [1] * size,
+                      [1] * size + [True] * (3 * size), [1.0] * size + [1] * (3 * size)):
+            self.assert_reference({"k": np.resize(np.arange(4, dtype=np.int64), n),
+                                   "flag": cells})
+        assert planned["csv"]["flag"] == [n] * 3 == planned["json"]["flag"]
+
+    def test_nul_in_last_group_of_baked_csv_column(self, planned):
+        n = 3 * _BLOCK_ROWS + 2
+        for label in (["ok"] * (n - 1) + ["a\0b"], ["ok"] * (n - _BLOCK_ROWS - 2)
+                      + ["a\0b"] * (_BLOCK_ROWS + 2)):
+            result = ExperimentResult({}, Table({"n": np.zeros(n, dtype=np.int64),
+                                                 "label": label}))
+            with pytest.raises(DomainError, match="NUL character in column 'label'"):
+                render_chunks(result, "csv")
+            assert report_to_json(result) == _reference_json({}, list(result.rows))
+        # Only the distinct cells were planned, when render_chunks was called.
+        assert planned["csv"]["label"] == [2, 2]
+
+    @pytest.mark.parametrize("fmt,around", [("csv", 1), ("json", 2)])
+    @pytest.mark.parametrize("period,n", [(1, 3 * _BLOCK_ROWS), (1000, 5 * 2000 + 3),
+                                          (1500, 2 * 1500 + 700)])
+    def test_one_chunk_per_group(self, fmt, around, period, n):
+        size = _group_size(period)
+        columns = {"k": np.resize(np.arange(period, dtype=np.int64), n),
+                   "x": np.random.default_rng(n).standard_normal(n)}
+        result = ExperimentResult({"experiment": "grouped"}, Table(columns))
+        chunks = list(render_chunks(result, fmt))
+        groups = -(-n // size)
+        assert len(chunks) == groups + around
+        rows = chunks[1:1 + groups]
+        assert [chunk.count("\n" if fmt == "csv" else "}") for chunk in rows] == [
+            min(size, n - start) for start in range(0, n, size)]
+        assert "".join(chunks) == render_artifact(result, fmt)
+
+
 class TestFloatDedupe:
     """A float column whose cells repeat at least half the time is formatted
     once per distinct value; a long column whose probe of _PROBE_ROWS random
@@ -725,9 +904,22 @@ class TestTable:
         assert t[0] == {"a": 1, "b": "x"}
 
     def test_from_rows_takes_the_first_rows_header(self):
-        t = Table.from_rows([{"b": 1, "a": 2}, {"a": 3, "b": 4, "c": 5}])
+        t = Table.from_rows([{"b": 1, "a": 2}, {"a": 3, "b": 4}])
         assert list(t.columns) == ["b", "a"] and t.columns["a"] == [2, 3]
         assert len(Table.from_rows([])) == 0
+
+    @pytest.mark.parametrize("render,match", [
+        (lambda: rows_to_csv([{"a": 1}, {"b": 2}]), r"row 1 has the keys \['b'\]"),
+        (lambda: rows_to_csv([{"a": 1}, 5]), "row 1 must be a dict, got int"),
+        (lambda: rows_to_csv([[1, 2]]), "row 0 must be a dict, got list"),
+        (lambda: report_to_json(ExperimentResult({}, [{"a": 1}, {"a": 2, "b": 3}])),
+         r"row 1 has the keys \['a', 'b'\], where row 0 has \['a'\]"),
+        (lambda: Table.from_rows([{"a": 1, "b": 2}, {"a": 1, "b": 2}, {"a": 3}]),
+         "row 2 has the keys"),
+    ], ids=["other_key", "not_a_dict", "first_not_a_dict", "extra_key", "missing_key"])
+    def test_from_rows_rejects_ragged_rows(self, render, match):
+        with pytest.raises(DomainError, match=match):
+            render()
 
     def test_array_columns_yield_python_values(self):
         t = Table({"i": np.arange(3, dtype=np.int64), "x": np.array([0.5, -0.0, 2.0]),
@@ -807,6 +999,12 @@ class TestRowsMatchDictRows:
         assert rows[0] == {"method": "iid", "replicate": 1, "estimate": 0.8555900217892036}
         assert rows[4] == {"method": "qs", "replicate": 2, "estimate": 0.8402797905052434}
         assert rows[8] == {"method": "lqs", "replicate": 3, "estimate": 0.8233210980124733}
+        # Array columns, so the renderer reads the replicate count as the period.
+        assert rows.columns["replicate"].dtype == np.int64
+        assert rows.columns["estimate"].dtype == np.float64
+        assert _period(rows.columns.values()) == 3
+        for row in rows:
+            assert [type(v) for v in row.values()] == [str, int, float]
 
     def test_moment_check(self):
         rows = run_experiment(cfg(experiment="moment_check", m=4, layers=(2, 2),
