@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
@@ -492,10 +493,6 @@ _BLOCK_ROWS = 1024
 # A longer period is not used, so that a group, which is one chunk of text,
 # stays within the block sizes measured.
 _MAX_PERIOD = 16 * _BLOCK_ROWS
-# Cells of a long float column sampled for repeats before its distinct values
-# are counted.  The positions are random, so that no period of a tiled
-# column can line up with them as it can with a fixed stride.
-_PROBE_ROWS = 1024
 # Indentation of a row's fields in the JSON artifact: rows sit two levels
 # below the top-level object at indent=2.
 _FIELD_INDENT = "\n      "
@@ -528,24 +525,14 @@ def _column(values) -> tuple[set, Sequence]:
     return kinds, np.array(values, dtype=np.float64) if kinds == {float} else values
 
 
-def _float_cells(values: np.ndarray, conversion: str) -> tuple[str, Sequence]:
-    """The conversion and cells of a float64 column: the template formats
-    them itself with ``conversion``, unless at least half the cells repeat,
-    when each distinct value is formatted once and read with ``%s``.  Values
-    are told apart by their bits, so 0.0 and -0.0 stay distinct.  A column
-    longer than _PROBE_ROWS whose cells at _PROBE_ROWS random positions
-    never repeat is formatted directly without counting its distinct values;
-    the text is the same either way."""
-    bits = values.view(np.int64)
-    if bits.size > _PROBE_ROWS:
-        probe = np.unique(np.random.default_rng(0).integers(0, bits.size, _PROBE_ROWS))
-        if np.unique(bits[probe]).size == probe.size:
-            return conversion, values
-    distinct = np.unique(bits)
-    if 2 * distinct.size > bits.size:
-        return conversion, values
-    text = [conversion % v for v in distinct.view(np.float64).tolist()]
-    return "%s", np.array(text, dtype=object)[np.searchsorted(distinct, bits)]
+def _check_digits(name: str, kinds: set, values) -> None:
+    """DomainError for a list column's int cell past sys.get_int_max_str_digits()."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and int in kinds and not isinstance(values, np.ndarray):
+        ints = values if kinds == {int} else [v for v in values if type(v) is int]
+        big = max(max(ints), -min(ints))  # below 10 ** limit if of at most 3 * limit bits
+        if big.bit_length() > 3 * limit and big >= 10 ** limit:
+            raise DomainError(f"column {name!r} holds an int of more than {limit} digits")
 
 
 def _csv_text(text: str, where: str) -> str:
@@ -584,7 +571,7 @@ def _csv_plan(name: str, kinds: set, values, lone: bool) -> tuple[str, Sequence]
     if kinds == {int}:
         return "%d", values
     if kinds == {float}:
-        return _float_cells(values, "%.9g")
+        return "%.9g", values
     strings = values if kinds == {str} else list(map(_format_cell, values))
     return "%s", _csv_quoted(name, strings, lone)
 
@@ -597,7 +584,7 @@ def _json_plan(name: str, kinds: set, values) -> tuple[str, Sequence]:
     if kinds == {int}:
         return "%d", values
     if kinds == {float} and np.isfinite(values).all():
-        return _float_cells(values, "%r")
+        return "%r", values
     if kinds == {str}:
         text = {v: json.encoder.encode_basestring_ascii(v) for v in set(values)}
         return "%s", list(map(text.__getitem__, values))
@@ -621,11 +608,11 @@ def _repeats(kinds: set, values, size: int, whole: int) -> np.ndarray | None:
     """For each of the first ``whole`` groups of ``size`` rows but group 0,
     whether its cells equal those of the group before, in one vectorised
     compare: float64 cells by their bits (so 0.0 and -0.0 differ), and int64
-    cells and a list of only str or only int cells by value (so True and 1
-    never meet).  None for any other column."""
+    cells and a list of only str cells by value.  None for any other
+    column."""
     if isinstance(values, np.ndarray):
         cells = values.view(np.int64)
-    elif kinds == {str} or kinds == {int}:
+    elif kinds == {str}:
         cells = np.array(values, dtype=object)
     else:
         return None
@@ -664,6 +651,7 @@ def _group_chunks(table: Table, names: Sequence[str], literals: Sequence[str], s
     row, baked, free = sep.replace("%", "%%%%"), [], []
     for name, literal in zip(names, literals):
         kinds, values = _column(table.columns[name])
+        _check_digits(name, kinds, values)
         same = _repeats(kinds, values, size, whole) if whole > 1 else None
         row += literal.replace("%", "%%%%")
         if same is not None and 2 * np.count_nonzero(same) >= same.size:
@@ -713,9 +701,9 @@ def render_chunks(result: ExperimentResult, fmt: str) -> Iterator[str]:
     """The artifact of ``result`` in ``fmt`` as chunks of text that join to
     the whole: for "csv" the header and the row groups of its rows, for
     "json" the report up to its rows, the row groups and the report's end.
-    Every cell that can fail is checked when this is called, so a table
-    that cannot be rendered (a NUL in a CSV column name or cell) raises
-    DomainError here, before any chunk is read."""
+    A table that cannot be rendered (a NUL in a CSV column name or cell, an
+    int too long for str) raises DomainError when this is called, before any
+    chunk is read."""
     table = result.rows
     if fmt == "csv":
         if not table:
@@ -755,10 +743,6 @@ def report_to_json(result: ExperimentResult, include_rows: bool = True) -> str:
     if not include_rows:
         return json.dumps(result.report, indent=2, sort_keys=True) + "\n"
     return "".join(render_chunks(result, "json"))
-
-
-def render_artifact(result: ExperimentResult, fmt: str) -> str:
-    return "".join(render_chunks(result, fmt))
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:

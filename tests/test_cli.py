@@ -23,7 +23,7 @@ from qstrat.experiments import (
     ExperimentConfig,
     ExperimentResult,
     Table,
-    render_artifact,
+    render_chunks,
     run_experiment,
 )
 
@@ -267,12 +267,12 @@ class TestChunkedOutput:
           "--m", "50", "--layers", "30,20", "--replicates", "25", "--seed", "13")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_out_stdout_and_render_artifact_agree(self, capsys, tmp_path, fmt):
+    def test_out_stdout_and_render_chunks_agree(self, capsys, tmp_path, fmt):
         result = run_experiment(ExperimentConfig("qq_export", dist="gamma", params=(2.0, 5.0),
                                                  m=50, layers=(30, 20), replicates=25, seed=13))
         # Three whole row blocks and a partial one.
         assert len(result.rows) // _BLOCK_ROWS == 3 and len(result.rows) % _BLOCK_ROWS
-        expected = render_artifact(result, fmt)
+        expected = "".join(render_chunks(result, fmt))
         path = tmp_path / f"qq.{fmt}"
         code, _, _ = run_cli(capsys, *self.QQ, "--format", fmt, "--out", str(path))
         assert code == 0
