@@ -661,7 +661,12 @@ def _group_chunks(table: Table, names: Sequence[str], literals: Sequence[str], s
             unchanged &= same
             row += "%s"
         else:
-            conversion, cells = plan(name, kinds, values)
+            try:
+                conversion, cells = plan(name, kinds, values)
+            except DomainError:
+                raise
+            except ValueError as exc:  # a nested int past the int-to-str limit
+                raise DomainError(f"column {name!r} cannot be rendered: {exc}") from None
             free.append(cells)
             row += conversion.replace("%", "%%")
     row += literals[-1].replace("%", "%%%%")
@@ -697,13 +702,22 @@ def _fill_groups(row: str, skip: int, plan, baked: list, free: list, size: int,
         yield chunk[skip:] if start == 0 else chunk
 
 
+def _report_text(report: dict) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True)`` and a line end; an int
+    past the int-to-str limit raises DomainError."""
+    try:
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"the report cannot be rendered: {exc}") from None
+
+
 def render_chunks(result: ExperimentResult, fmt: str) -> Iterator[str]:
     """The artifact of ``result`` in ``fmt`` as chunks of text that join to
     the whole: for "csv" the header and the row groups of its rows, for
     "json" the report up to its rows, the row groups and the report's end.
-    A table that cannot be rendered (a NUL in a CSV column name or cell, an
-    int too long for str) raises DomainError when this is called, before any
-    chunk is read."""
+    A table or report that cannot be rendered (a NUL in a CSV column name or
+    cell, an int too long for str) raises DomainError when this is called,
+    before any chunk is read."""
     table = result.rows
     if fmt == "csv":
         if not table:
@@ -717,7 +731,7 @@ def render_chunks(result: ExperimentResult, fmt: str) -> Iterator[str]:
                              lambda name, kinds, cells: _csv_plan(name, kinds, cells, lone),
                              plan_distinct=True)
         return chain([header.getvalue()], body)
-    text = json.dumps(dict(result.report, rows=[]), indent=2, sort_keys=True) + "\n"
+    text = _report_text(dict(result.report, rows=[]))
     if not table:
         return iter((text,))
     # The report is rendered with empty rows; the rows go inside its
@@ -741,7 +755,7 @@ def report_to_json(result: ExperimentResult, include_rows: bool = True) -> str:
     """Render the report, with its rows under "rows" unless ``include_rows``
     is false, as ``json.dumps(..., indent=2, sort_keys=True)`` would."""
     if not include_rows:
-        return json.dumps(result.report, indent=2, sort_keys=True) + "\n"
+        return _report_text(result.report)
     return "".join(render_chunks(result, "json"))
 
 

@@ -68,6 +68,20 @@ class TestSampleCommand:
         assert payload["method"] == "iid" and len(payload["values"]) == 4
         assert payload["seed"] == 5
 
+    def test_beta_upper_half_blocks_are_distinct(self, capsys):
+        # Beta(0.01, 3) has its median at 1.8e-31: above it, 1 - Q_{b,a}(1 - p)
+        # rounds to 0 and once gave the median for blocks 6 and 7 alike.
+        code, out, _ = run_cli(capsys, "sample", "--dist", "beta", "--params", "0.01,3",
+                               "--m", "10", "--method", "qs", "--seed", "1")
+        assert code == 0
+        rows = sorted((int(block), float(value)) for _, block, _, value in
+                      (line.split(",") for line in out.splitlines()[1:]))
+        values = [value for _, value in rows]
+        assert [block for block, _ in rows] == list(range(1, 11))
+        assert all(lo < hi for lo, hi in zip(values, values[1:])), values
+        assert values[5] == pytest.approx(5.14774717e-26, rel=1e-8)
+        assert values[6] == pytest.approx(8.67007533e-19, rel=1e-8)
+
     def test_missing_m_for_qs_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "sample", "--method", "qs")
         assert code == 1 and "--m" in err

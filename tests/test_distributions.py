@@ -50,6 +50,10 @@ REL_TOL = 1e-9
 def tail_probability(dist, x, upper):
     """F(x), or the survival S(x) where ``upper``, from scipy's special
     functions; S uses the complement functions, never 1 - F."""
+    if isinstance(dist, Normal):
+        with np.errstate(over="ignore"):
+            z = (x - dist.mu) / dist.sigma
+        return special.ndtr(np.where(upper, -z, z))
     if isinstance(dist, Gamma):
         t = dist.rate * x
         return np.where(upper, special.gammaincc(dist.shape, t),
@@ -66,8 +70,9 @@ def tail_round_trip_ok(dist, p, x=None, prob=tail_probability):
     upper = p > 0.5
     tail = np.where(upper, 1.0 - p, p)
     at = prob(dist, x, upper)
-    slack = np.maximum(np.abs(prob(dist, np.nextafter(x, np.inf), upper) - at),
-                       np.abs(at - prob(dist, np.nextafter(x, -np.inf), upper)))
+    with np.errstate(over="ignore"):  # the ulp past the largest double is inf
+        slack = np.maximum(np.abs(prob(dist, np.nextafter(x, np.inf), upper) - at),
+                           np.abs(at - prob(dist, np.nextafter(x, -np.inf), upper)))
     return np.all(np.isfinite(x)) and bool(np.all(np.abs(at - tail) <= REL_TOL * tail + slack))
 
 
@@ -280,6 +285,25 @@ LAW_PARAMS = st.one_of(
 BLOCK = distributions._QUANTILE_BLOCK
 
 
+def log_uniform(lo, hi):
+    """Floats from lo to hi, spread evenly in log10."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda k: 10.0 ** k)
+
+
+# The domain where README promises the round trip, fixed before any run:
+# Beta shapes in [1e-4, 1e3], Gamma shapes in [1e-300, 1e6] at rate 1 (at a
+# rate below 1, rate * x rounds for a subnormal x, and the oracle misjudges
+# it), and every Normal the constructor accepts.
+ROUND_TRIP_PARAMS = st.one_of(
+    st.tuples(st.just(Beta), log_uniform(1e-4, 1e3), log_uniform(1e-4, 1e3)),
+    st.tuples(st.just(Gamma), log_uniform(1e-300, 1e6), st.just(1.0)),
+    st.tuples(st.just(Normal), FINITE, POSITIVE),
+)
+# Both tails at every power of two, and the middle on a coarse grid.
+ROUND_TRIP_GRID = np.concatenate([2.0 ** -np.arange(1, 54), np.linspace(0.05, 0.95, 19),
+                                  1.0 - 2.0 ** -np.arange(2, 54)])
+
+
 def accepted(params):
     """The law built from (family, *args), with no RuntimeWarning; an example
     whose parameters the constructor rejects is skipped."""
@@ -308,6 +332,18 @@ class TestLawSweep:
             q = dist.quantile(np.array(probs))
         lo, hi = dist.support
         assert np.all(np.isfinite(q)) and np.all((q > lo) & (q < hi)), (dist, probs, q)
+
+    @settings(derandomize=True, max_examples=900, deadline=None)
+    @given(ROUND_TRIP_PARAMS, st.lists(PROBS, min_size=1, max_size=8))
+    @example((Beta, 0.01, 3.0), [0.6])
+    def test_round_trip_in_both_tails(self, params, probs):
+        # F(Q(p)) = p below 1/2 and S(Q(p)) = 1 - p above it, to REL_TOL
+        # relative plus the probability of one ulp of Q(p).
+        dist = accepted(params)
+        p = np.concatenate([probs, ROUND_TRIP_GRID])
+        x = dist.quantile(p)
+        assert tail_round_trip_ok(dist, p, x), (
+            dist, [pi for pi, xi in zip(p, x) if not tail_round_trip_ok(dist, pi, xi)][:5])
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(LAW_PARAMS, st.lists(PROBS, min_size=1, max_size=8), st.integers(0, 2 ** 32 - 1))

@@ -522,6 +522,21 @@ class TestRenderersMatchReference:
         with pytest.raises(DomainError, match=match):
             render_chunks(_odd_result(columns), fmt)
 
+    @pytest.mark.parametrize("fmt,parts,match", [
+        ("csv", lambda big: ({}, {"a": [[big], 1]}), "column 'a' cannot be rendered"),
+        ("json", lambda big: ({}, {"a": [[big], 1]}), "column 'a' cannot be rendered"),
+        ("json", lambda big: ({"x": big}, {"a": [1]}), "the report cannot be rendered"),
+    ])
+    def test_nested_and_report_ints_past_the_limit_raise(self, fmt, parts, match):
+        # An int the interpreter will not convert to str, inside a cell or in
+        # the report, raises DomainError when render_chunks is called.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts ints of any length to str")
+        report, columns = parts(10 ** limit)
+        with pytest.raises(DomainError, match=match):
+            render_chunks(ExperimentResult(report, Table(columns)), fmt)
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_ints_at_the_digit_limit_render(self, fmt):
         # An int of exactly the limit's digits is text, in an int column and

@@ -13,7 +13,9 @@ every artifact whose bytes differ.  The artifacts are:
 * every experiment's CSV and JSON (importance_study for both examples,
   qq_export for two families, LQS layers where an experiment takes them),
 * ``qstrat sample`` CSV and JSON for each family and method, LQS also with
-  a single layer and with all-unit layers,
+  a single layer and with all-unit layers, and Beta(0.01, 3) and
+  Gamma(0.05, 1) besides, whose values come from the tail inversions
+  of shapes far below 1,
 
 each at seeds 1, 7 and 12345, and ``qstrat theory`` with ``--k``, ``--ell``
 and ``--layers`` (it takes no seed).  Each line is the digest, the exit
@@ -45,6 +47,8 @@ FAMILIES = (
     ("--dist", "normal", "--params", "1,2"),
     ("--dist", "beta", "--params", "0.5,2"),
     ("--dist", "gamma", "--params", "0.3,5"),
+    ("--dist", "beta", "--params", "0.01,3"),
+    ("--dist", "gamma", "--params", "0.05,1"),
     ("--dist", "discrete", "--params", "0,0.2,1,0.5,3,0.3"),
 )
 SAMPLE_SIZES = (
