@@ -429,9 +429,10 @@ class Gamma(Distribution):
 class Discrete(Distribution):
     """Law with finitely many atoms.
 
-    ``points`` must be strictly increasing; ``probs`` are positive masses
-    summing to one.  ``pdf`` returns the mass function; the quantile is a
-    right-continuous step function satisfying Q(F(x_j)) = x_j at every atom.
+    ``points`` must be finite and strictly increasing; ``probs`` are finite
+    positive masses summing to one.  ``pdf`` returns the mass function; the
+    quantile is a right-continuous step function satisfying Q(F(x_j)) = x_j
+    at every atom.
     """
 
     name = "discrete"
@@ -441,6 +442,8 @@ class Discrete(Distribution):
         pr = np.asarray(probs, dtype=np.float64)
         if pts.ndim != 1 or pr.shape != pts.shape or pts.size == 0:
             raise DomainError("discrete requires matching 1-d points and probs")
+        if not (np.isfinite(pts).all() and np.isfinite(pr).all()):
+            raise DomainError("discrete points and probabilities must be finite")
         if np.any(np.diff(pts) <= 0.0):
             raise DomainError("discrete points must be strictly increasing")
         if np.any(pr <= 0.0):
@@ -476,7 +479,8 @@ class Custom(Distribution):
     Only a quantile function is required (enough for inverse-transform
     sampling); density and CDF callables are optional.  The density comes
     from ``pdf`` or, failing that, from ``exp(logpdf)``; a DomainError is
-    raised if a missing piece is requested.
+    raised if a missing piece is requested.  The ``support`` (lo, hi) must
+    have lo < hi.
     """
 
     name = "custom"
@@ -487,7 +491,10 @@ class Custom(Distribution):
         self._user_pdf = pdf
         self._user_cdf = cdf
         self._user_logpdf = logpdf
-        self.support = (float(support[0]), float(support[1]))
+        lo, hi = float(support[0]), float(support[1])
+        if not lo < hi:
+            raise DomainError(f"custom support must have lo < hi, got ({lo}, {hi})")
+        self.support = (lo, hi)
 
     def _pdf(self, x):
         if self._user_pdf is not None:

@@ -17,7 +17,7 @@ import json
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -578,15 +578,18 @@ def _csv_plan(name: str, kinds: set, values, lone: bool) -> tuple[str, Sequence]
 
 def _json_plan(name: str, kinds: set, values) -> tuple[str, Sequence]:
     """The % conversion of one column in the JSON row template and the cells
-    it reads: ``%d`` for ints, ``%r`` for finite floats, each distinct
-    string encoded once, and ``_json_cell`` text for anything else (bools,
-    None, mixed, nested, NaN or inf)."""
+    it reads: ``%d`` for ints, ``%r`` for finite floats, ``"%s"`` for strings
+    that each encode as themselves in quotes, else each distinct string
+    encoded once, and ``_json_cell`` text for anything else (bools, None,
+    mixed, nested, NaN or inf)."""
     if kinds == {int}:
         return "%d", values
     if kinds == {float} and np.isfinite(values).all():
         return "%r", values
     if kinds == {str}:
         text = {v: json.encoder.encode_basestring_ascii(v) for v in set(values)}
+        if all(encoded == f'"{v}"' for v, encoded in text.items()):
+            return '"%s"', values
         return "%s", list(map(text.__getitem__, values))
     return "%s", list(map(_json_cell, values))
 
@@ -621,30 +624,24 @@ def _repeats(kinds: set, values, size: int, whole: int) -> np.ndarray | None:
 
 
 def _group_chunks(table: Table, names: Sequence[str], literals: Sequence[str], sep: str,
-                  plan, plan_distinct: bool = False) -> Iterator[str]:
+                  plan) -> Iterator[str]:
     """The rows of ``table``, each the ``literals`` with the text of the
     columns ``names`` between them, separated by ``sep``, one chunk per
     group of rows.  ``plan(name, kinds, cells)`` gives a column's %
-    conversion and the cells it reads.
+    conversion and the cells it reads; every column is planned here, whole,
+    so that a cell that cannot be rendered raises before any chunk is read.
 
     A group is the smallest whole number of the table's periods (_period)
     that is at least _BLOCK_ROWS rows.  A column that repeats from one whole
-    group to the next in at least half of those transitions is baked: it is
-    planned one group at a time, and its text formatted into the group's
-    template, which is rebuilt only for the first group, a short last one
-    and a group where a baked cell changes.  The other columns are free:
-    planned whole here, and formatted by one % of the template per group.
-    A cell's text depends on the cell alone, so a group's plan gives the
-    text of the whole column's.  With ``plan_distinct`` the distinct cells
-    of each baked str column are planned here too, so that a cell that
-    cannot be rendered raises before any chunk is read."""
+    group to the next in at least half of those transitions is baked: its
+    conversion is read by the template's first %, which fills a group's
+    template from the group's baked cells.  The other columns are free: one
+    % of the template per group formats their cells."""
     n = len(table)
     period = _period(table.columns.values())
     size = period * -(-_BLOCK_ROWS // period)
     whole = n // size
-    # Group 0 and a short last group are always built; group g in between
-    # when a baked column changes from group g - 1.
-    rebuild = np.ones(-(-n // size), dtype=bool)
+    # unchanged[g - 1]: no baked cell changes from group g - 1 to group g.
     unchanged = np.ones(max(whole - 1, 0), dtype=bool)
     # The template is formatted twice: a literal's "%" is escaped for both,
     # a free conversion for the first.
@@ -652,53 +649,52 @@ def _group_chunks(table: Table, names: Sequence[str], literals: Sequence[str], s
     for name, literal in zip(names, literals):
         kinds, values = _column(table.columns[name])
         _check_digits(name, kinds, values)
+        try:
+            conversion, cells = plan(name, kinds, values)
+        except DomainError:
+            raise
+        except ValueError as exc:  # a nested int past the int-to-str limit
+            raise DomainError(f"column {name!r} cannot be rendered: {exc}") from None
         same = _repeats(kinds, values, size, whole) if whole > 1 else None
         row += literal.replace("%", "%%%%")
         if same is not None and 2 * np.count_nonzero(same) >= same.size:
-            if plan_distinct and kinds == {str}:
-                plan(name, kinds, list(set(values)))
-            baked.append((name, kinds, values))
+            baked.append(cells)
             unchanged &= same
-            row += "%s"
+            row += conversion
         else:
-            try:
-                conversion, cells = plan(name, kinds, values)
-            except DomainError:
-                raise
-            except ValueError as exc:  # a nested int past the int-to-str limit
-                raise DomainError(f"column {name!r} cannot be rendered: {exc}") from None
             free.append(cells)
             row += conversion.replace("%", "%%")
     row += literals[-1].replace("%", "%%%%")
-    rebuild[1:whole] = ~unchanged
-    return _fill_groups(row, len(sep), plan, baked, free, size, rebuild, n)
+    return _fill_groups(row, len(sep), baked, free, size, unchanged, n)
 
 
-def _fill_groups(row: str, skip: int, plan, baked: list, free: list, size: int,
-                 rebuild: np.ndarray, n: int) -> Iterator[str]:
+def _interleave(columns: list, start: int, stop: int, escape: bool = False) -> tuple:
+    """The cells of rows ``start:stop`` of ``columns``, row by row, for one %
+    of a group's template; with ``escape`` each "%" in a str cell doubled."""
+    k = len(columns)
+    flat = [None] * (k * (stop - start))
+    for j, cells in enumerate(columns):
+        block = cells[start:stop]
+        if isinstance(block, np.ndarray):
+            block = block.tolist()
+        elif escape:
+            block = list(map(str.replace, block, repeat("%"), repeat("%%")))
+        flat[j::k] = block
+    return tuple(flat)
+
+
+def _fill_groups(row: str, skip: int, baked: list, free: list, size: int,
+                 unchanged: np.ndarray, n: int) -> Iterator[str]:
     """The chunks of ``_group_chunks``, from the two-stage ``row`` template
     (preceded by a separator of ``skip`` characters, left off the first
-    row): at a ``rebuild`` the baked cells of the group are formatted into
-    it, with any "%" in their text doubled, and then each group's free cells
-    go column by column into one flat list, interleaved by slice
-    assignment, for one % of the group's template."""
-    kb, kf = len(baked), len(free)
+    row): the first group, a short last one and a group whose baked cells
+    change have the template filled anew by its first % over the group's
+    baked cells, and every group's free cells go through its second %."""
     for g, start in enumerate(range(0, n, size)):
         stop = min(start + size, n)
-        if rebuild[g]:
-            rows = stop - start
-            text = [None] * (kb * rows)
-            for j, (name, kinds, values) in enumerate(baked):
-                conversion, cells = plan(name, kinds, values[start:stop])
-                if isinstance(cells, np.ndarray):
-                    cells = cells.tolist()
-                text[j::kb] = [(conversion % cell).replace("%", "%%") for cell in cells]
-            template = (row * rows) % tuple(text)
-            flat = [None] * (kf * rows)
-        for j, values in enumerate(free):
-            block = values[start:stop]
-            flat[j::kf] = block.tolist() if isinstance(block, np.ndarray) else block
-        chunk = template % tuple(flat)
+        if g == 0 or stop - start < size or not unchanged[g - 1]:
+            template = (row * (stop - start)) % _interleave(baked, start, stop, escape=True)
+        chunk = template % _interleave(free, start, stop)
         yield chunk[skip:] if start == 0 else chunk
 
 
@@ -728,8 +724,7 @@ def render_chunks(result: ExperimentResult, fmt: str) -> Iterator[str]:
         csv.writer(header, lineterminator="\n").writerow(names)
         literals = [""] + [","] * (len(names) - 1) + ["\n"]
         body = _group_chunks(table, names, literals, "",
-                             lambda name, kinds, cells: _csv_plan(name, kinds, cells, lone),
-                             plan_distinct=True)
+                             lambda name, kinds, cells: _csv_plan(name, kinds, cells, lone))
         return chain([header.getvalue()], body)
     text = _report_text(dict(result.report, rows=[]))
     if not table:

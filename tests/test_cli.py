@@ -90,6 +90,15 @@ class TestSampleCommand:
         code, _, err = run_cli(capsys, "sample", "--dist", "cauchy", "--m", "3")
         assert code == 1 and "cauchy" in err
 
+    @pytest.mark.parametrize("params", ["0,nan,1,1", "0,0.5,nan,0.5", "0,0.5,inf,0.5"])
+    def test_discrete_with_a_non_finite_param_exits_one(self, capsys, params):
+        # NaN passes both "p <= 0" and "|sum - 1| > tol", and a NaN or inf
+        # atom passes "diff(points) <= 0": each once exited 0.
+        code, out, err = run_cli(capsys, "sample", "--dist", "discrete", "--params", params,
+                                 "--m", "4", "--method", "qs", "--seed", "1")
+        assert code == 1 and out == ""
+        assert "must be finite" in err
+
     @pytest.mark.parametrize("params", ["2,1e-320", "0.3,1e-320"])
     def test_gamma_whose_quantiles_overflow_exits_one(self, capsys, params):
         code, out, err = run_cli(capsys, "sample", "--dist", "gamma", "--params", params,

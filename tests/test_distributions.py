@@ -579,6 +579,15 @@ class TestDiscrete:
             Discrete([0.0, 1.0], [0.7, 0.7])
         with pytest.raises(DomainError):
             Discrete([0.0, 1.0], [1.0, 0.0])
+        # NaN fails no order test, so finiteness is checked on its own.
+        for points, probs in (([0.0, 1.0], [math.nan, 1.0]), ([0.0, math.nan], [0.5, 0.5]),
+                              ([0.0, math.inf], [0.5, 0.5]), ([-math.inf, 0.0], [0.5, 0.5]),
+                              ([0.0, 1.0], [math.inf, 1.0])):
+            with pytest.raises(DomainError, match="must be finite"):
+                Discrete(points, probs)
+        for support in ((1.0, 0.0), (0.5, 0.5), (math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(DomainError, match="lo < hi"):
+                Custom(np.sqrt, support=support)
 
 
 class TestBlocks:

@@ -627,24 +627,46 @@ def _tiled(cells: Sequence, n: int) -> list:
 class TestGroupRenderer:
     """Rows rendered in groups of whole periods, with the columns that repeat
     from group to group baked into the group's template.  Each table's bytes
-    are the reference renderers'; a baked column is planned a group slice at
-    a time, so these also show that a slice's plan gives the whole column's
-    text."""
+    are the reference renderers'; every column is planned once, whole, and a
+    baked column's cells are formatted by the template's first %, so these
+    also show that its text is the same as when the column is free."""
 
     @pytest.fixture
-    def planned(self, monkeypatch):
-        """Column name -> the lengths of the cells planned for it, per format."""
-        lengths = {"csv": {}, "json": {}}
+    def renders(self, monkeypatch):
+        """Per format, one record per rendered table: "planned", column name
+        -> the number of cells of each call of its plan; "baked", the names
+        of the baked columns; "rebuilt", the first row of each group whose
+        template was filled anew."""
+        renders = {"csv": [], "json": []}
+        current = []
+        group_chunks, interleave = experiments._group_chunks, experiments._interleave
 
-        def spy(fmt, plan):
+        def chunks(table, names, literals, sep, plan):
+            current[:] = [{"planned": {}, "cells": [], "baked": [], "rebuilt": []}]
+            renders["json" if sep else "csv"].append(current[0])
+            return group_chunks(table, names, literals, sep, plan)
+
+        def spy(plan):
             def traced(name, kinds, values, *args):
-                lengths[fmt].setdefault(name, []).append(len(values))
-                return plan(name, kinds, values, *args)
+                current[0]["planned"].setdefault(name, []).append(len(values))
+                conversion, cells = plan(name, kinds, values, *args)
+                current[0]["cells"].append((name, cells))
+                return conversion, cells
             return traced
 
-        monkeypatch.setattr(experiments, "_csv_plan", spy("csv", experiments._csv_plan))
-        monkeypatch.setattr(experiments, "_json_plan", spy("json", experiments._json_plan))
-        return lengths
+        def traced_interleave(columns, start, stop, escape=False):
+            if escape:  # the baked cells, for a template filled anew
+                record = current[0]
+                record["baked"] = sorted(next(name for name, cells in record["cells"]
+                                              if cells is column) for column in columns)
+                record["rebuilt"].append(start)
+            return interleave(columns, start, stop, escape)
+
+        monkeypatch.setattr(experiments, "_group_chunks", chunks)
+        monkeypatch.setattr(experiments, "_csv_plan", spy(experiments._csv_plan))
+        monkeypatch.setattr(experiments, "_json_plan", spy(experiments._json_plan))
+        monkeypatch.setattr(experiments, "_interleave", traced_interleave)
+        return renders
 
     def assert_reference(self, columns):
         result = ExperimentResult({"experiment": "grouped"}, Table(columns))
@@ -652,8 +674,16 @@ class TestGroupRenderer:
         _assert_same(rows_to_csv(result.rows), _reference_csv(rows), "csv")
         _assert_same(report_to_json(result), _reference_json(result.report, rows), "json")
 
+    @staticmethod
+    def assert_render(record, names, n, baked, rebuilt):
+        """Each column of ``names`` planned once, on all ``n`` cells; the
+        ``baked`` columns; the first rows of the groups ``rebuilt``."""
+        assert record["planned"] == {name: [n] for name in names}
+        assert record["baked"] == sorted(baked)
+        assert record["rebuilt"] == rebuilt
+
     @pytest.mark.parametrize("period", [1, 7, 1000, 1024, 1500])
-    def test_int64_tiled_columns(self, planned, period):
+    def test_int64_tiled_columns(self, renders, period):
         size = _group_size(period)
         n = 4 * size
         rng = np.random.default_rng(period)
@@ -667,13 +697,10 @@ class TestGroupRenderer:
         }
         assert _period(columns.values()) == period
         self.assert_reference(columns)
-        for lengths in planned.values():
-            assert lengths["sample"] == [n] and lengths["count"] == [n]
-            # Baked: planned for the first group only, and for CSV the
-            # label's distinct cells, checked for NUL when rendering starts.
-            assert lengths["k"] == [size] and lengths["target"] == [size]
-        assert planned["json"]["label"] == [size]
-        assert planned["csv"]["label"] == [min(period, len(text)), size]
+        for records in renders.values():
+            (record,) = records
+            # Baked, and the template filled for the first group only.
+            self.assert_render(record, columns, n, ["k", "target", "label"], [0])
 
     def test_period_must_hold_throughout(self):
         k = np.resize(np.arange(1, 11, dtype=np.int64), 5000)
@@ -686,7 +713,7 @@ class TestGroupRenderer:
         assert _period([long]) == 1
 
     @pytest.mark.parametrize("extra", [1, 999, 1999])
-    def test_length_not_whole_groups(self, planned, extra):
+    def test_length_not_whole_groups(self, renders, extra):
         n = 3 * 2000 + extra
         rng = np.random.default_rng(extra)
         columns = {"k": np.resize(np.arange(1, 1001, dtype=np.int64), n),
@@ -694,9 +721,10 @@ class TestGroupRenderer:
                    "sample": rng.standard_normal(n)}
         self.assert_reference(columns)
         # The short last group gets a template of its own.
-        assert planned["csv"]["target"] == [2000, extra]
+        for (record,) in renders.values():
+            self.assert_render(record, columns, n, ["k", "target"], [0, 6000])
 
-    def test_tiled_float_that_changes_at_one_boundary(self, planned):
+    def test_tiled_float_that_changes_at_one_boundary(self, renders):
         # As qq_export's targets do from one method to the next.
         rng = np.random.default_rng(3)
         per_method = 3 * 2000
@@ -707,31 +735,33 @@ class TestGroupRenderer:
                    "theoretical_quantile": np.concatenate(targets),
                    "sample_order_stat": rng.standard_normal(n)}
         self.assert_reference(columns)
-        for lengths in planned.values():
-            assert lengths["theoretical_quantile"] == [2000, 2000]
-            assert lengths["k"] == [2000, 2000]
-            assert lengths["sample_order_stat"] == [n]
+        for (record,) in renders.values():
+            self.assert_render(record, columns, n, ["method", "k", "theoretical_quantile"],
+                               [0, per_method])
 
-    def test_baked_text_with_percent_comma_quote_and_newline(self, planned):
+    def test_baked_text_with_percent_comma_quote_and_newline(self, renders):
         text = ["%", "%s", "%%d", "a,b", 'say "hi"', "line\nbreak", ""]
         n = 5 * _group_size(7)
         columns = {"k": np.resize(np.arange(7, dtype=np.int64), n),
                    "te%xt": _tiled(text, n),
                    "%d": np.resize([0.5, -1e-300, 2.0, 1e300, 0.0, -0.0, 3.0], n)}
         self.assert_reference(columns)
-        assert planned["json"]["te%xt"] == [_group_size(7)]
+        for (record,) in renders.values():
+            self.assert_render(record, columns, n, ["k", "te%xt", "%d"], [0])
 
-    def test_lone_baked_csv_column_with_empty_cells(self, planned):
+    def test_lone_baked_csv_column_with_empty_cells(self, renders):
         n = 3 * _BLOCK_ROWS + 5
         for cells in ([""] * n, [""] * (2 * _BLOCK_ROWS) + ['x"'] * _BLOCK_ROWS + [""] * 5):
             table = Table({"s": cells})
             text = rows_to_csv(table)
             _assert_same(text, _reference_csv(list(table)))
             assert text.endswith('""\n' * 5)
-        # Rebuilt where x" replaces the empty cells, and for the short group.
-        assert planned["csv"]["s"] == [1, _BLOCK_ROWS, 5, 2, _BLOCK_ROWS, _BLOCK_ROWS, 5]
+        # Filled anew where x" replaces the empty cells, and for the short group.
+        first, second = renders["csv"]
+        self.assert_render(first, ["s"], n, ["s"], [0, 3 * _BLOCK_ROWS])
+        self.assert_render(second, ["s"], n, ["s"], [0, 2 * _BLOCK_ROWS, 3 * _BLOCK_ROWS])
 
-    def test_signed_zeros_alternating_by_group(self, planned):
+    def test_signed_zeros_alternating_by_group(self, renders):
         size = _group_size(10)
         n = 6 * size
         zeros = np.repeat(np.resize([0.0, -0.0], 6), size)
@@ -739,31 +769,36 @@ class TestGroupRenderer:
                    "zero_list": zeros.tolist()}
         self.assert_reference(columns)
         # 0.0 == -0.0, but their bits differ: the column is never baked.
-        assert planned["csv"]["zero"] == [n] == planned["csv"]["zero_list"]
-        # Baked, but rebuilt at the sign change: a compare by value would not.
+        for (record,) in renders.values():
+            self.assert_render(record, columns, n, ["k"], [0])
+        # Baked, but filled anew at the sign change: a compare by value would not.
         flipped = np.repeat([0.0] * 3 + [-0.0] * 3, size)
         self.assert_reference({"k": columns["k"], "zero": flipped})
-        assert planned["json"]["zero"][-2:] == [size, size]
+        for record in (renders["csv"][1], renders["json"][1]):
+            self.assert_render(record, ["k", "zero"], n, ["k", "zero"], [0, 3 * size])
 
-    def test_nan_and_inf_in_a_baked_json_column(self, planned):
+    def test_nan_and_inf_in_a_baked_json_column(self, renders):
         n = 4 * _group_size(5)
         special = [math.nan, math.inf, -math.inf, 1.5, -0.0]
         columns = {"k": np.resize(np.arange(5, dtype=np.int64), n),
                    "special": np.resize(special, n), "listed": _tiled(special, n)}
         self.assert_reference(columns)
-        assert planned["json"]["special"] == [_group_size(5)]
-        assert planned["json"]["listed"] == [_group_size(5)]
+        for (record,) in renders.values():
+            self.assert_render(record, columns, n, ["k", "special", "listed"], [0])
 
-    def test_list_mixing_true_and_1_is_never_baked(self, planned):
+    def test_list_mixing_true_and_1_is_never_baked(self, renders):
         size = _group_size(4)
         n = 4 * size
         for cells in ([True] * size + [1] * size + [True] * size + [1] * size,
                       [1] * size + [True] * (3 * size), [1.0] * size + [1] * (3 * size)):
             self.assert_reference({"k": np.resize(np.arange(4, dtype=np.int64), n),
                                    "flag": cells})
-        assert planned["csv"]["flag"] == [n] * 3 == planned["json"]["flag"]
+        for records in renders.values():
+            assert len(records) == 3
+            for record in records:
+                self.assert_render(record, ["k", "flag"], n, ["k"], [0])
 
-    def test_nul_in_last_group_of_baked_csv_column(self, planned):
+    def test_nul_in_last_group_of_baked_csv_column(self, renders):
         n = 3 * _BLOCK_ROWS + 2
         for label in (["ok"] * (n - 1) + ["a\0b"], ["ok"] * (n - _BLOCK_ROWS - 2)
                       + ["a\0b"] * (_BLOCK_ROWS + 2)):
@@ -772,8 +807,14 @@ class TestGroupRenderer:
             with pytest.raises(DomainError, match="NUL character in column 'label'"):
                 render_chunks(result, "csv")
             assert report_to_json(result) == _reference_json({}, list(result.rows))
-        # Only the distinct cells were planned, when render_chunks was called.
-        assert planned["csv"]["label"] == [2, 2]
+        # Each column was planned whole when render_chunks was called, and
+        # the NUL raised before any template was filled.
+        names = ["n", "label"]
+        for record in renders["csv"]:
+            self.assert_render(record, names, n, [], [])
+        first, second = renders["json"]
+        self.assert_render(first, names, n, names, [0, 3 * _BLOCK_ROWS])
+        self.assert_render(second, names, n, names, [0, 2 * _BLOCK_ROWS, 3 * _BLOCK_ROWS])
 
     @pytest.mark.parametrize("fmt,around", [("csv", 1), ("json", 2)])
     @pytest.mark.parametrize("period,n", [(1, 3 * _BLOCK_ROWS), (1000, 5 * 2000 + 3),

@@ -12,6 +12,9 @@ every artifact whose bytes differ.  The artifacts are:
 
 * every experiment's CSV and JSON (importance_study for both examples,
   qq_export for two families, LQS layers where an experiment takes them),
+  and a qq_export of 60,000 rows (Gamma(2, 5), m = 1000, 20 replicates),
+  whose 30 row groups of 2,000 rows render the columns that repeat from
+  group to group through the baked template,
 * ``qstrat sample`` CSV and JSON for each family and method, LQS also with
   a single layer and with all-unit layers, and Beta(0.01, 3) and
   Gamma(0.05, 1) besides, whose values come from the tail inversions
@@ -37,6 +40,8 @@ EXPERIMENTS = (
     ("--name", "moment_check", "--layers", "10,20"),
     ("--name", "qq_export", "--dist", "normal", "--params", "0,1"),
     ("--name", "qq_export", "--dist", "gamma", "--params", "2,5", "--layers", "10,20"),
+    ("--name", "qq_export", "--dist", "gamma", "--params", "2,5", "--m", "1000",
+     "--layers", "500,300,200", "--replicates", "20"),
     ("--name", "mse_grid"),
     ("--name", "spacing_check"),
     ("--name", "importance_study", "--example", "a"),
